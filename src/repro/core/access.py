@@ -146,21 +146,26 @@ class AccessPolicy:
         :func:`repro.core.kernels.phase_touched_bytes` with the policy
         contributing its support size, so sparse phases report the
         O(K·N) footprint they actually touch.  The read phase's linkage
-        pass count comes from the backend (a fused sweep streams the
-        linkage once, the reference matvec pair twice); the sparse read
-        kernel always gathers both the support rows and columns, so the
-        sparse policy keeps the two-pass model over its K-row support.
+        rows come from the backend: a fused dense sweep streams the
+        linkage once and the reference matvec pair twice; the reference
+        sparse kernel gathers the support rows and columns, while the
+        tuned one streams the whole linkage once.
         """
         cfg = engine.config
+        n, r = cfg.memory_size, cfg.num_reads
+        rows = self.support_rows(engine)
+        backend = engine.backend
         per_slot = SK.phase_touched_bytes(
             phase,
-            n=cfg.memory_size,
+            n=n,
             w=cfg.word_size,
-            r=cfg.num_reads,
-            rows=self.support_rows(engine),
+            r=r,
+            rows=rows,
             hidden=cfg.hidden_size,
-            read_linkage_passes=(
-                2 if self.is_sparse else engine.backend.read_linkage_passes
+            read_linkage_rows=(
+                backend.sparse_read_linkage_rows(n, r, rows)
+                if self.is_sparse
+                else backend.read_linkage_passes * n
             ),
         )
         return b * per_slot * np.dtype(cfg.np_dtype).itemsize

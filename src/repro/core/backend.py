@@ -99,12 +99,22 @@ class KernelBackend:
     #: live in :data:`repro.obs.profiler.PHASES`).
     read_phase_label = "read"
 
-    #: How many times this backend's read phase streams the linkage
-    #: support: 2 for the separate forward + backward matvecs, 1 for a
+    #: How many times this backend's dense read phase streams the
+    #: linkage: 2 for the separate forward + backward matvecs, 1 for a
     #: fused single-pass sweep.  Feeds the
     #: :func:`repro.core.kernels.phase_touched_bytes` read model so the
     #: profiler's bytes column reflects what the kernel actually moves.
     read_linkage_passes = 2
+
+    def sparse_read_linkage_rows(self, n: int, r: int, top_k: int) -> int:
+        """Length-``n`` linkage rows the sparse read phase moves per slot.
+
+        The sparse counterpart of :attr:`read_linkage_passes` for the
+        same bytes model: the reference K-support kernel gathers the
+        ``r * top_k`` support rows and as many support columns, each
+        into an ``(R, K, N)`` block.
+        """
+        return 2 * r * top_k
 
     # -- content addressing ------------------------------------------------
     def write_scores(self, memory: np.ndarray, write_key: np.ndarray) -> np.ndarray:
@@ -169,10 +179,17 @@ class KernelBackend:
         erase: np.ndarray,
         value: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Delegates to the reference sparse kernel (already O(K·N))."""
-        return SK.sparse_erase_write_linkage(
-            memory, linkage, precedence, write_w, erase, value
+        """Copy + :meth:`sparse_erase_write_linkage_inplace`, as
+        :func:`repro.core.kernels.sparse_erase_write_linkage` does, so a
+        plain (solo) sparse step runs the same arithmetic as the
+        arena's masked in-place tick under every backend."""
+        new_memory = memory.copy()
+        new_linkage = linkage.copy()
+        new_precedence = precedence.copy()
+        self.sparse_erase_write_linkage_inplace(
+            new_memory, new_linkage, new_precedence, write_w, erase, value
         )
+        return new_memory, new_linkage, new_precedence
 
     def sparse_erase_write_linkage_inplace(
         self,
@@ -274,7 +291,7 @@ class KernelBackend:
 
     # K-support sparse forms: ``vals``/``idx`` are the top-K read-weight
     # support from ``SparseAccess`` (O(R·K·N) / O(R·K·W) gather-bound
-    # kernels — every CPU backend shares the numpy reference bodies).
+    # reference kernels; the tuned backend streams the linkage instead).
     def sparse_forward_backward(
         self, linkage: np.ndarray, vals: np.ndarray, idx: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -417,12 +434,17 @@ class TunedBackend(ReferenceBackend):
             self._scratch[key] = held
         return held
 
-    def _panel_rows(self, linkage: np.ndarray) -> int:
-        """Rows per linkage panel so one panel ~ :attr:`panel_bytes`."""
+    def _panel_rows(self, linkage: np.ndarray, stacked: bool = False) -> int:
+        """Rows per linkage panel so one panel ~ :attr:`panel_bytes`.
+
+        A panel spans one ``(N, N)`` matrix, or with ``stacked`` the
+        same rows of every matrix in the lead dimensions.
+        """
         n = linkage.shape[-1]
         lead = 1
-        for dim in linkage.shape[:-2]:
-            lead *= dim
+        if stacked:
+            for dim in linkage.shape[:-2]:
+                lead *= dim
         row_bytes = max(1, lead * n * linkage.dtype.itemsize)
         return max(1, min(n, self.panel_bytes // row_bytes))
 
@@ -482,10 +504,7 @@ class TunedBackend(ReferenceBackend):
             out3 = out.reshape((-1, n, n))
             w2 = write_w.reshape((-1, n))
             p2 = precedence.reshape((-1, n))
-            rows_per = max(
-                1,
-                min(n, self.panel_bytes // max(1, n * linkage_in.dtype.itemsize)),
-            )
+            rows_per = self._panel_rows(linkage_in)
             tmp = self._buf("fused.lpanel", (rows_per, n), linkage_in.dtype)
             ger = _GER.get(linkage_in.dtype.str)
             diag = np.arange(n)
@@ -521,7 +540,7 @@ class TunedBackend(ReferenceBackend):
         w_row = write_w[..., None, :]
         p_row = precedence[..., None, :]
         omw = 1.0 - w_col
-        rows_per = self._panel_rows(linkage_in)
+        rows_per = self._panel_rows(linkage_in, stacked=True)
         tmp = self._buf(
             "fused.ltmp", linkage_in.shape[:-2] + (rows_per, n), linkage_in.dtype
         )
@@ -662,6 +681,83 @@ class TunedBackend(ReferenceBackend):
             np.multiply(1.0 - w.sum(), p, out=p)
             p += w
 
+    # -- sparse write phase ------------------------------------------------
+    def sparse_erase_write_linkage_inplace(
+        self, memory, linkage, precedence, write_w, erase, value,
+        active=None,
+    ):
+        """K-row sparse write phase with the support rows in panels.
+
+        Same contract and update as
+        :func:`repro.core.kernels.sparse_erase_write_linkage_inplace`,
+        but the written linkage rows are gathered once, a fixed-size
+        panel at a time, into resident scratch, updated there while hot
+        (the ``w_i * p_j`` term as one BLAS ``?ger`` pass, as in
+        :meth:`_linkage_panels`) and scattered back.  The reference
+        copies the support rows twice and sweeps three support-sized
+        temporaries.  The panel scratch is sized by ``N`` alone, so
+        write supports of varying size never grow it.
+
+        Memory and precedence keep the reference ufunc order (bitwise);
+        the linkage differs only by ``?ger``'s single rounding.
+        """
+        n = write_w.shape[-1]
+        if n < self.min_blocked_n or memory.ndim not in (2, 3) or (
+            memory.ndim == 2 and active is not None
+        ):
+            return super().sparse_erase_write_linkage_inplace(
+                memory, linkage, precedence, write_w, erase, value,
+                active=active,
+            )
+        if memory.ndim == 2:
+            memory, linkage = memory[None], linkage[None]
+            precedence, write_w = precedence[None], write_w[None]
+        if active is None:
+            idx = np.arange(memory.shape[0])
+        else:
+            idx = np.asarray(active)
+            if idx.dtype == np.bool_:
+                idx = np.flatnonzero(idx)
+        erase_b = np.broadcast_to(erase, write_w.shape[:-1] + erase.shape[-1:])
+        value_b = np.broadcast_to(value, write_w.shape[:-1] + value.shape[-1:])
+        rows_per = self._panel_rows(linkage)
+        panel = self._buf("sparse.lpanel", (rows_per, n), linkage.dtype)
+        tmp = self._buf("sparse.ltmp", (rows_per, n), linkage.dtype)
+        ger = _GER.get(linkage.dtype.str)
+        for s in idx:
+            m, link, p, w = memory[s], linkage[s], precedence[s], write_w[s]
+            support = np.flatnonzero(w)
+            if support.size == 0:
+                continue
+            w_s = w[support]
+            w_col = w_s[:, None]
+            # Memory rows S: m * (1 - w x e) + w x v, reference ufunc order.
+            mw = np.multiply(w_col, erase_b[s][None, :])
+            np.subtract(1.0, mw, out=mw)
+            mw *= m[support]
+            mw += w_col * value_b[s][None, :]
+            omw = 1.0 - w_col
+            for c0 in range(0, support.size, rows_per):
+                c1 = min(support.size, c0 + rows_per)
+                rows = support[c0:c1]
+                pan, t = panel[: c1 - c0], tmp[: c1 - c0]
+                # ``clip`` skips numpy's buffered copy for ``out=``;
+                # the indices are in range by construction.
+                np.take(link, rows, axis=0, out=pan, mode="clip")
+                np.subtract(omw[c0:c1], w[None, :], out=t)
+                pan *= t
+                if ger is not None:
+                    ger(1.0, p, w_s[c0:c1], a=pan.T, overwrite_a=1)
+                else:
+                    np.multiply(w_col[c0:c1], p[None, :], out=t)
+                    pan += t
+                pan[np.arange(c1 - c0), rows] = 0.0
+                link[rows] = pan
+            # Precedence reads old p, which the panels above consumed.
+            np.multiply(1.0 - w.sum(), p, out=p)
+            p += w
+            m[support] = mw
+
     # -- read phase ----------------------------------------------------
     def forward_backward(self, linkage, read_w, active=None):
         """Fused single-pass forward/backward over linkage row panels.
@@ -701,9 +797,7 @@ class TunedBackend(ReferenceBackend):
         bwd = np.empty_like(read_w)
         fwd3 = fwd.reshape((-1, r, n))
         bwd3 = bwd.reshape((-1, r, n))
-        rows_per = max(
-            1, min(n, self.panel_bytes // max(1, n * linkage.dtype.itemsize))
-        )
+        rows_per = self._panel_rows(linkage)
         tmp = self._buf("read.psum", (r, n), linkage.dtype)
         for b in range(lin3.shape[0]):
             lin_b, rw_b = lin3[b], rw3[b]
@@ -741,6 +835,39 @@ class TunedBackend(ReferenceBackend):
         np.multiply(read_modes[..., 2:3], fwd, out=tmp)
         out += tmp
         return out
+
+    def _streams_sparse_read(self, n: int) -> bool:
+        return self.read_fused and n >= self.min_blocked_n
+
+    def sparse_read_linkage_rows(self, n, r, top_k):
+        if self._streams_sparse_read(n):
+            return n
+        return super().sparse_read_linkage_rows(n, r, top_k)
+
+    def sparse_forward_backward(self, linkage, vals, idx):
+        """Top-K forward/backward as one row-contiguous linkage pass.
+
+        The reference gathers the support's *columns* of the row-major
+        linkage (every element a row-stride apart) and builds two
+        ``(..., R, K, N)`` temporaries.  Forward needs those columns
+        from every row, so a single streaming pass is the floor: the
+        support is scattered into a zero ``(..., R, N)`` weighting and
+        fed to the fused panel sweep of :meth:`forward_backward`, which
+        yields both directions from each row panel while it is hot.
+        The zero entries contribute exact zeros; only the summation
+        order differs from the reference (tolerance-level).  Each batch
+        slot runs the same calls as a batch of one, so batched and
+        solo steps agree bitwise.  Delegates to the reference kernel
+        below :attr:`min_blocked_n` and under ``read_phase_fused=False``.
+        """
+        n = linkage.shape[-1]
+        if not self._streams_sparse_read(n):
+            return super().sparse_forward_backward(linkage, vals, idx)
+        read_w = np.zeros(
+            vals.shape[:-1] + (n,), dtype=np.result_type(linkage, vals)
+        )
+        np.put_along_axis(read_w, idx, vals, axis=-1)
+        return self.forward_backward(linkage, read_w)
 
 
 # ---------------------------------------------------------------------------

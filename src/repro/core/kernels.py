@@ -47,7 +47,7 @@ from repro.dnc.instrumentation import KernelCategory
 
 def phase_touched_bytes(
     phase: str, *, n: int, w: int, r: int, rows: int, hidden: int,
-    read_linkage_passes: int = 2,
+    read_linkage_rows: Optional[int] = None,
 ) -> int:
     """Elements touched by one engine-step phase for one batch slot.
 
@@ -59,11 +59,12 @@ def phase_touched_bytes(
     The estimates deliberately track the dominant arrays only (the same
     granularity as Table 1's access counts), not every temporary.
 
-    ``read_linkage_passes`` is how many times the read phase streams the
-    linkage support: 2 for the reference forward + backward matvec pair,
-    1 when a backend fuses both sweeps into a single pass over the
-    linkage (``KernelBackend.read_linkage_passes`` reports what the
-    selected backend actually does).
+    ``read_linkage_rows`` is how many length-``n`` linkage rows the read
+    phase moves (default ``2 * rows``: the support's rows and columns).
+    The selected backend reports it: ``KernelBackend.read_linkage_passes``
+    sweeps of all ``n`` rows on the dense path (2 for the reference
+    forward + backward matvec pair, 1 for a fused single pass), and
+    ``KernelBackend.sparse_read_linkage_rows`` on the sparse path.
     """
     if phase == "controller":
         # LSTM gate blocks over the hidden state.
@@ -80,7 +81,9 @@ def phase_touched_bytes(
         return 2 * n * rows + rows * w + 2 * n
     if phase == "read":
         # Forward/backward over the linkage support + weighted read.
-        return read_linkage_passes * n * rows + r * rows * w + r * n
+        if read_linkage_rows is None:
+            read_linkage_rows = 2 * rows
+        return read_linkage_rows * n + r * rows * w + r * n
     if phase == "output":
         return hidden + r * w
     return 0

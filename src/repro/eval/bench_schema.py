@@ -36,7 +36,8 @@ identical 64-session Zipf mix.
 :class:`~repro.eval.runners.SparseAccessResult` entry (the headline
 N=2048 sparse point) plus ``dense_n{384,1024,2048}`` /
 ``sparse_k<K>_n<N>`` variants A/B'ing the access policies with explicit
-accuracy deltas vs dense float64.
+accuracy deltas vs dense float64, and ``..._r<R>w<W>_<backend>`` lane
+variants of the same A/B at other read-head/word shapes per backend.
 """
 
 from __future__ import annotations
@@ -618,6 +619,12 @@ SPARSE_ENTRY_KEYS = (
     "dtype",
 )
 
+#: Extra keys of a lane variant (``<name>_r<R>w<W>_<backend>``): the
+#: engine shape and kernel backend the lane ran, which the plain
+#: entries leave at the runner's defaults (R=1, W=16, the config's
+#: backend).
+SPARSE_LANE_KEYS = ("num_reads", "word_size", "backend")
+
 #: The memory sizes the dense/sparse A/B must cover.
 SPARSE_MEMORY_SIZES = (384, 1024, 2048)
 
@@ -637,7 +644,9 @@ _SPARSE_POSITIVE = (
     "speedup_vs_dense",
 )
 
-_SPARSE_VARIANT_RE = re.compile(r"^(dense|sparse_k(\d+))_n(\d+)$")
+_SPARSE_VARIANT_RE = re.compile(
+    r"^(dense|sparse_k(\d+))_n(\d+)(?:_r(\d+)w(\d+)_([a-z]+))?$"
+)
 
 
 def _check_sparse_entry(entry: object, where: str) -> List[str]:
@@ -692,7 +701,8 @@ def validate_sparse_access(data: object) -> List[str]:
         if match is None:
             problems.append(
                 f"variants[{name!r}]: name must look like 'dense_n<N>' "
-                f"or 'sparse_k<K>_n<N>'"
+                f"or 'sparse_k<K>_n<N>', optionally suffixed "
+                f"'_r<R>w<W>_<backend>'"
             )
             continue
         problems.extend(_check_sparse_entry(entry, f"variants[{name!r}]"))
@@ -703,9 +713,19 @@ def validate_sparse_access(data: object) -> List[str]:
             problems.append(
                 f"variants[{name!r}]: entry must have memory_size={n}"
             )
+        if match.group(4) is not None:  # lane suffix
+            lane = dict(zip(SPARSE_LANE_KEYS, (
+                int(match.group(4)), int(match.group(5)), match.group(6),
+            )))
+            for key, want in lane.items():
+                if entry.get(key) != want:
+                    problems.append(
+                        f"variants[{name!r}]: entry must have {key}={want!r}"
+                    )
         if match.group(2) is not None:  # sparse_k<K>_n<N>
             k = int(match.group(2))
-            sparse_sizes.add(n)
+            if match.group(4) is None:  # lanes do not cover the sweep
+                sparse_sizes.add(n)
             if entry.get("access_policy") != "sparse":
                 problems.append(
                     f"variants[{name!r}]: entry must have access_policy='sparse'"
@@ -775,6 +795,7 @@ __all__ = [
     "PROC_ENTRY_KEYS",
     "PROC_REQUIRED_VARIANTS",
     "SPARSE_ENTRY_KEYS",
+    "SPARSE_LANE_KEYS",
     "SPARSE_MEMORY_SIZES",
     "SPARSE_REQUIRED_VARIANTS",
     "ARTIFACT_VALIDATORS",

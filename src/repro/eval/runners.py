@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.eval.bench_schema import ENTRY_KEYS, SPARSE_ENTRY_KEYS
+from repro.eval.bench_schema import (
+    ENTRY_KEYS,
+    SPARSE_ENTRY_KEYS,
+    SPARSE_LANE_KEYS,
+)
 from repro.utils.formatting import format_table
 
 
@@ -421,7 +425,9 @@ class SparseAccessResult:
     divergence of an unbatched same-seed, same-input trajectory stepped
     under this policy against the dense float64 trajectory — the
     accuracy cost of truncating content addressing to K slots (0.0 for
-    the dense entry).
+    the dense entry).  A lane entry also records its engine shape and
+    backend (``num_reads``/``word_size``/``backend``, ``None`` on plain
+    entries).
     """
 
     memory_size: int
@@ -435,15 +441,23 @@ class SparseAccessResult:
     max_abs_delta_vs_dense: float
     mean_abs_delta_vs_dense: float
     dtype: str = "float64"
+    num_reads: Optional[int] = None
+    word_size: Optional[int] = None
+    backend: Optional[str] = None
 
     def to_json(self) -> Dict[str, object]:
         """One ``BENCH_sparse_access.json`` variant entry.
 
         Generated from
-        :data:`repro.eval.bench_schema.SPARSE_ENTRY_KEYS` so the writer
-        and the validator share one key list by construction.
+        :data:`repro.eval.bench_schema.SPARSE_ENTRY_KEYS` (plus the
+        ``SPARSE_LANE_KEYS`` a lane entry sets) so the writer and the
+        validator share one key list by construction.
         """
-        return {key: getattr(self, key) for key in SPARSE_ENTRY_KEYS}
+        entry = {key: getattr(self, key) for key in SPARSE_ENTRY_KEYS}
+        for key in SPARSE_LANE_KEYS:
+            if getattr(self, key) is not None:
+                entry[key] = getattr(self, key)
+        return entry
 
 
 def measure_sparse_access(
@@ -456,6 +470,7 @@ def measure_sparse_access(
     rng: int = 0,
     num_tiles: int = 8,
     backend: Optional[str] = None,
+    lane: Optional[Tuple[int, int]] = None,
 ) -> Dict[str, "SparseAccessResult"]:
     """A/B dense vs sparse top-K access at one memory size.
 
@@ -467,6 +482,9 @@ def measure_sparse_access(
     the same dense-vs-sparse ratio with the fused kernels engaged; the
     default (``None``) keeps the config's own default, which honours
     ``REPRO_BACKEND`` — how the CI sparse-tuned bench lane runs.
+    ``lane=(num_reads, word_size)`` measures at that engine shape
+    instead of R=1, W=16: names gain an ``_r{R}w{W}_{backend}`` suffix
+    and entries record the shape and the backend that ran.
 
     Timing exercises the serving hot path: masked stepping at full
     occupancy (``TiledEngine.step(active=arange(B))``), warm-up first,
@@ -482,12 +500,14 @@ def measure_sparse_access(
     from repro.core.engine import TiledEngine
 
     backend_kwargs = {} if backend is None else {"backend": backend}
+    num_reads, word_size = (1, 16) if lane is None else lane
 
     def make_config(policy: str, top_k: int) -> "HiMAConfig":
         return HiMAConfig(
-            memory_size=memory_size, word_size=16, num_reads=1,
-            num_tiles=num_tiles, hidden_size=32, two_stage_sort=False,
-            access_policy=policy, access_top_k=top_k, **backend_kwargs,
+            memory_size=memory_size, word_size=word_size,
+            num_reads=num_reads, num_tiles=num_tiles, hidden_size=32,
+            two_stage_sort=False, access_policy=policy,
+            access_top_k=top_k, **backend_kwargs,
         )
 
     def time_masked(config) -> float:
@@ -526,8 +546,15 @@ def measure_sparse_access(
     dense_sps = time_masked(dense_config)
     dense_out = solo_trajectory(dense_config)
 
+    suffix, lane_fields = "", {}
+    if lane is not None:
+        suffix = f"_r{num_reads}w{word_size}_{dense_config.backend}"
+        lane_fields = dict(
+            num_reads=num_reads, word_size=word_size,
+            backend=dense_config.backend,
+        )
     results: Dict[str, SparseAccessResult] = {}
-    results[f"dense_n{memory_size}"] = SparseAccessResult(
+    results[f"dense_n{memory_size}{suffix}"] = SparseAccessResult(
         memory_size=memory_size,
         access_policy="dense",
         access_top_k=0,
@@ -539,13 +566,14 @@ def measure_sparse_access(
         max_abs_delta_vs_dense=0.0,
         mean_abs_delta_vs_dense=0.0,
         dtype=dense_config.dtype,
+        **lane_fields,
     )
     for top_k in top_ks:
         sparse_config = make_config("sparse", int(top_k))
         sparse_sps = time_masked(sparse_config)
         sparse_out = solo_trajectory(sparse_config)
         delta = np.abs(sparse_out - dense_out)
-        results[f"sparse_k{int(top_k)}_n{memory_size}"] = SparseAccessResult(
+        results[f"sparse_k{int(top_k)}_n{memory_size}{suffix}"] = SparseAccessResult(
             memory_size=memory_size,
             access_policy="sparse",
             access_top_k=int(top_k),
@@ -557,6 +585,7 @@ def measure_sparse_access(
             max_abs_delta_vs_dense=float(np.max(delta)),
             mean_abs_delta_vs_dense=float(np.mean(delta)),
             dtype=sparse_config.dtype,
+            **lane_fields,
         )
     return results
 

@@ -88,6 +88,12 @@ _FRAME_REST = struct.Struct(">IQQ")  # crc32, trace_id, span_id
 #: Frames above this size are rejected as corrupt before any allocation:
 #: a garbage length field must not make the reader try to buffer 4 GiB.
 MAX_FRAME_BYTES = 1 << 30
+#: Events a worker engine's TrafficLog retains.  Nothing reads a
+#: worker's log, and an unbounded one grows with every tick served
+#: (about 2.7 MB/s of RSS at a few thousand steps/s); compaction keeps
+#: its word totals exact (the :class:`~repro.core.engine.TrafficLog`
+#: contract).
+WORKER_TRAFFIC_MAX_EVENTS = 1 << 12
 
 
 def write_frame(
@@ -237,6 +243,15 @@ def _worker_stats(shard) -> Dict[str, object]:
     return stats
 
 
+def _worker_engine(config, seed):
+    """The engine a worker process serves with: its traffic log bounded."""
+    from repro.core.engine import TiledEngine
+
+    return TiledEngine(
+        config, rng=seed, traffic_max_events=WORKER_TRAFFIC_MAX_EVENTS
+    )
+
+
 def _proc_worker_main(
     sock: socket.socket,
     config,
@@ -245,7 +260,6 @@ def _proc_worker_main(
     shard_kwargs: Dict[str, object],
 ) -> None:
     """Child-process entry point: serve one EngineShard over framed RPC."""
-    from repro.core.engine import TiledEngine
     from repro.serve.shard import EngineShard
 
     # The parent owns lifecycle: a terminal Ctrl-C must not tear the
@@ -259,7 +273,7 @@ def _proc_worker_main(
     obs_trace = bool(shard_kwargs.pop("obs_trace", False))
     obs_profile = bool(shard_kwargs.pop("obs_profile", False))
 
-    engine = TiledEngine(config, rng=seed)
+    engine = _worker_engine(config, seed)
     shard = EngineShard(
         engine,
         shard_id=shard_id,

@@ -449,8 +449,10 @@ class TestTunedNumerics:
         assert not backend.read_fused
         assert backend.read_phase_label == "read"
         assert backend.read_linkage_passes == 2
-        gen = np.random.default_rng(11)
         n = TunedBackend.min_blocked_n * 2
+        # The sparse read falls back to the reference support gather.
+        assert backend.sparse_read_linkage_rows(n, 2, 16) == 2 * 2 * 16
+        gen = np.random.default_rng(11)
         linkage = gen.standard_normal((2, n, n)) * 0.01
         read_w = gen.random((2, 2, n)) * 0.05
         ref = ReferenceBackend().forward_backward(linkage, read_w)
@@ -463,6 +465,132 @@ class TestTunedNumerics:
         assert backend.read_fused
         assert backend.read_phase_label == "read_phase"
         assert backend.read_linkage_passes == 1
+        # The sparse read streams the whole linkage once per slot from
+        # ``min_blocked_n`` up and gathers the support below it.
+        n = TunedBackend.min_blocked_n
+        assert backend.sparse_read_linkage_rows(n, 2, 16) == n
+        assert backend.sparse_read_linkage_rows(n // 2, 2, 16) == 2 * 2 * 16
+        assert ReferenceBackend().sparse_read_linkage_rows(n, 2, 16) == 64
+
+    def test_sparse_read_bytes_follow_backend(self):
+        """The profiler's sparse read bytes are what each backend's
+        kernel moves: the reference gathers R·K rows and R·K columns,
+        the tuned kernel streams all N rows once."""
+        cfg = dict(BLOCKED_CONFIG, access_policy="sparse", access_top_k=12)
+        n, w, r = cfg["memory_size"], cfg["word_size"], cfg["num_reads"]
+        gather = r * 12 * w + r * n  # read vectors + read weights
+        expected = {"reference": 2 * r * 12 * n, "tuned": n * n}
+        for name, linkage_elems in expected.items():
+            engine = TiledEngine(HiMAConfig(**cfg, backend=name), rng=0)
+            got = engine.access.bytes_touched("read", engine, 3)
+            assert got == 3 * (linkage_elems + gather) * 8, name
+
+    # -- sparse kernels ------------------------------------------------
+
+    @staticmethod
+    def _sparse_read_support(n, batch=3, r=2, top_k=16, seed=12):
+        from repro.core.access import _topk_largest
+
+        gen = np.random.default_rng(seed)
+        linkage = gen.standard_normal((batch, n, n)) * 0.01
+        read_w = gen.random((batch, r, n)) * 0.05
+        idx = _topk_largest(read_w, top_k)
+        return linkage, np.take_along_axis(read_w, idx, axis=-1), idx
+
+    @staticmethod
+    def _sparse_write_args(n, supports, w=16, seed=13):
+        """Batched sparse write-phase inputs, slot ``s`` writing
+        ``supports[s]`` rows."""
+        gen = np.random.default_rng(seed)
+        b = len(supports)
+        write_w = np.zeros((b, n))
+        for s, size in enumerate(supports):
+            rows = gen.choice(n, size, replace=False)
+            write_w[s, rows] = gen.random(size) / max(1, size)
+        return (
+            gen.standard_normal((b, n, w)),
+            gen.standard_normal((b, n, n)) * 0.01,
+            gen.random((b, n)) / n,
+            write_w,
+            gen.random((b, w)),
+            gen.standard_normal((b, w)),
+        )
+
+    def test_sparse_forward_backward_within_tolerance(self):
+        """The streaming pass vs the reference support gather."""
+        n = TunedBackend.min_blocked_n * 2
+        linkage, vals, idx = self._sparse_read_support(n)
+        ref = ReferenceBackend().sparse_forward_backward(linkage, vals, idx)
+        got = TunedBackend().sparse_forward_backward(linkage, vals, idx)
+        for e, g in zip(ref, got):
+            assert e.shape == g.shape
+            assert float(np.max(np.abs(e - g))) <= TOLERANCES["float64"]
+
+    def test_sparse_forward_backward_slot_matches_batch_of_one(self):
+        """A batched call's slot is bitwise the batch-of-1 and unbatched
+        calls on that slot — what keeps a session served alone exact
+        against solo stepping."""
+        n = TunedBackend.min_blocked_n * 2
+        linkage, vals, idx = self._sparse_read_support(n)
+        backend = TunedBackend()
+        fwd, bwd = backend.sparse_forward_backward(linkage, vals, idx)
+        for s in range(linkage.shape[0]):
+            one = backend.sparse_forward_backward(
+                linkage[s:s + 1], vals[s:s + 1], idx[s:s + 1]
+            )
+            bare = backend.sparse_forward_backward(linkage[s], vals[s], idx[s])
+            for batched, b1, b0 in zip((fwd, bwd), one, bare):
+                assert np.array_equal(batched[s], b1[0])
+                assert np.array_equal(batched[s], b0)
+
+    def test_sparse_write_bitwise_fields_and_masking(self):
+        """Memory and precedence are bitwise the reference kernel, the
+        linkage is within ``?ger`` rounding, inactive slots stay
+        untouched, and the plain (copying) form equals the masked
+        in-place form bit for bit."""
+        n = TunedBackend.min_blocked_n * 2
+        args = self._sparse_write_args(n, supports=(40, 0, 200, 7))
+        memory, linkage, precedence, write_w, erase, value = args
+        active = np.array([True, True, False, True])
+        fields = {}
+        for name, backend in (
+            ("reference", ReferenceBackend()), ("tuned", TunedBackend())
+        ):
+            state = (memory.copy(), linkage.copy(), precedence.copy())
+            backend.sparse_erase_write_linkage_inplace(
+                *state, write_w, erase, value, active=active
+            )
+            fields[name] = state
+        ref, got = fields["reference"], fields["tuned"]
+        assert np.array_equal(got[0], ref[0])  # memory
+        assert np.array_equal(got[2], ref[2])  # precedence
+        assert float(np.max(np.abs(got[1] - ref[1]))) <= 1e-12
+        for field, before in zip(got, (memory, linkage, precedence)):
+            assert np.array_equal(field[~active], before[~active])
+        plain = TunedBackend().sparse_erase_write_linkage(*args)
+        for field, masked in zip(plain, got):
+            assert np.array_equal(field[active], masked[active])
+
+    def test_sparse_engine_batch_of_one_matches_unbatched(self):
+        """Solo (unbatched, plain write) and batch-of-1 sparse stepping
+        run the same tuned kernels, bit for bit."""
+        engine = make_engine("tuned", access_policy="sparse", access_top_k=12)
+        inputs = trajectory_inputs(engine, steps=5, batch=1)
+        assert np.array_equal(engine.run_batch(inputs)[:, 0],
+                              engine.run(inputs[:, 0]))
+
+    def test_sparse_write_scratch_does_not_grow(self):
+        """Steps whose write supports differ in size reuse one fixed
+        set of scratch buffers."""
+        n = TunedBackend.min_blocked_n * 2
+        backend = TunedBackend()
+        held = None
+        for seed, supports in enumerate(((3, 40), (200, 9), (n, 1), (17, 64))):
+            args = self._sparse_write_args(n, supports, seed=seed)
+            backend.sparse_erase_write_linkage_inplace(*args)
+            now = {key: id(buf) for key, buf in backend._scratch.items()}
+            held = now if held is None else held
+            assert now == held, supports
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,7 @@ def test_result_dataclasses_share_schema_keys():
         SERVE_ENTRY_KEYS,
         SHARD_ENTRY_KEYS,
         SPARSE_ENTRY_KEYS,
+        SPARSE_LANE_KEYS,
     )
     from repro.eval.runners import BatchedThroughput, SparseAccessResult
     from repro.serve.loadgen import ServeLoadResult, ShardScalingResult
@@ -77,9 +78,30 @@ def test_result_dataclasses_share_schema_keys():
     assert set(SHARD_ENTRY_KEYS) == {
         f.name for f in dataclasses.fields(ShardScalingResult)
     }
-    assert set(SPARSE_ENTRY_KEYS) == {
+    assert set(SPARSE_ENTRY_KEYS) | set(SPARSE_LANE_KEYS) == {
         f.name for f in dataclasses.fields(SparseAccessResult)
     }
+
+
+def test_sparse_lane_variants_carry_their_shape():
+    """A ``_r<R>w<W>_<backend>`` lane entry must record the shape and
+    backend its name claims; lanes do not stand in for the required
+    R=1 sweep points."""
+    from repro.eval.bench_schema import validate_sparse_access
+
+    data = json.loads((REPO_ROOT / "BENCH_sparse_access.json").read_text())
+    lanes = [name for name in data["variants"] if "_r4w64_" in name]
+    assert {"sparse_k128_n2048_r4w64_reference",
+            "sparse_k128_n2048_r4w64_tuned"} <= set(lanes)
+    assert validate_sparse_access(data) == []
+    lane = data["variants"]["sparse_k128_n2048_r4w64_tuned"]
+    data["variants"]["sparse_k128_n2048_r4w64_tuned"] = dict(
+        lane, backend="reference"
+    )
+    assert any("backend='tuned'" in p for p in validate_sparse_access(data))
+    del data["variants"]["sparse_k128_n2048"]
+    data["variants"]["sparse_k128_n2048_r4w64_tuned"] = lane
+    assert any("sparse_k*_n2048" in p for p in validate_sparse_access(data))
 
 
 def test_validator_cli_accepts_multiple_artifacts():

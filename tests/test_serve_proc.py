@@ -28,7 +28,13 @@ from repro.serve.loadgen import (
     run_open_loop,
     run_rolling_restart,
 )
-from repro.serve.proc import MAX_FRAME_BYTES, read_frame, write_frame
+from repro.serve.proc import (
+    MAX_FRAME_BYTES,
+    WORKER_TRAFFIC_MAX_EVENTS,
+    _worker_engine,
+    read_frame,
+    write_frame,
+)
 
 SEED = 7
 
@@ -400,6 +406,29 @@ class TestProcClusterBasics:
                     np.testing.assert_allclose(
                         request.y, baseline[t], atol=1e-10, rtol=0.0
                     )
+
+    def test_worker_engine_traffic_log_bounded_and_exact(self):
+        """A worker serves for its whole life and nothing reads its
+        engine's traffic log: the log must stay bounded past its event
+        bound while its word totals stay exact."""
+        config = proc_config()
+        worker = _worker_engine(config, SEED)
+        unbounded = TiledEngine(config, rng=SEED)
+        xs = np.random.default_rng(5).standard_normal((4, 3, 8))
+        while len(unbounded.traffic.events) <= 3 * WORKER_TRAFFIC_MAX_EVENTS:
+            worker.run_batch(xs)
+            unbounded.run_batch(xs)
+        assert worker.traffic.dropped_events > 0
+        assert len(worker.traffic.events) <= WORKER_TRAFFIC_MAX_EVENTS
+        assert worker.traffic.total_words() == unbounded.traffic.total_words()
+        assert (
+            worker.traffic.words_by_kernel()
+            == unbounded.traffic.words_by_kernel()
+        )
+        assert (
+            worker.traffic.inter_pt_words()
+            == unbounded.traffic.inter_pt_words()
+        )
 
 
 # ---------------------------------------------------------------------------
