@@ -15,13 +15,9 @@ track throughput regressions.  Schema (see
         "skim":                  {...},   # skimmed-allocation hot path
         "float64_n256":          {...},   # dtype A/B at memory_size=256
         "float32_n256":          {...},
-        "fused_write_linkage":   {...},   # fused write-phase kernel A/B
-        "unfused_write_linkage": {...},   # (three-pass legacy path)
         "backend_reference":     {...},   # kernel-backend A/B at N=256
         "backend_tuned":         {...},   # (+ backend_torch when torch
-        "read_fused":            {...},   #  is importable)
-        "read_unfused":          {...},   # read-phase kernel A/B (tuned)
-      }
+      }                                   #  is importable)
     }
 
 Every entry carries the full :class:`BatchedThroughput` record including
@@ -45,7 +41,6 @@ from repro.eval.runners import (
     batched_throughput_experiment,
     measure_backend_ab,
     measure_batched_throughput,
-    measure_masked_occupancy,
 )
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -64,15 +59,6 @@ TRAJECTORY_CONFIG = dict(
 #: halving the word width is measurable above timer noise.
 DTYPE_AB_CONFIG = dict(
     memory_size=256, word_size=32, num_reads=2, num_tiles=8, hidden_size=64,
-    two_stage_sort=False,
-)
-
-#: Masked-occupancy A/B configuration: state-heavy (N=256, one read
-#: head) so the per-tick state movement the dense-capacity path
-#: eliminates is visible; half occupancy (8 of 16 resident slots) is
-#: the serving arena's steady-state shape when it is not full.
-OCCUPANCY_CONFIG = dict(
-    memory_size=256, word_size=32, num_reads=1, num_tiles=8, hidden_size=64,
     two_stage_sort=False,
 )
 
@@ -139,72 +125,6 @@ def test_dtype_throughput_trajectory():
     assert f32.steps_per_sec > f64.steps_per_sec
 
 
-def test_fused_write_linkage_trajectory():
-    """A/B the fused single-sweep write kernel against the three-pass path.
-
-    Both run the bandwidth-bound N=256 config where the write phase's
-    N^2 linkage update is a visible slice of the step.  The fused kernel
-    is bitwise identical to the three-pass path (pinned hard in
-    ``tests/test_fused_kernels.py``); here it lands as a measured
-    trajectory variant so regressions in either path show up in the
-    artifact.
-    """
-    fused = measure_batched_throughput(
-        HiMAConfig(**DTYPE_AB_CONFIG), batch_size=16, seq_len=6, repeats=3
-    )
-    unfused = measure_batched_throughput(
-        HiMAConfig(**DTYPE_AB_CONFIG, fused_write_linkage=False),
-        batch_size=16, seq_len=6, repeats=3,
-    )
-    _merge_artifact({
-        "variants": {
-            "fused_write_linkage": fused.to_json(),
-            "unfused_write_linkage": unfused.to_json(),
-        }
-    })
-    assert fused.fused_write_linkage and not unfused.fused_write_linkage
-    assert fused.batch1_max_abs_diff <= 1e-10
-    assert unfused.batch1_max_abs_diff <= 1e-10
-    # Fusion must never cost throughput (it typically buys a few percent
-    # by dropping full-size temporaries); generous slack for CI noise.
-    assert fused.steps_per_sec >= 0.7 * unfused.steps_per_sec
-
-
-def test_masked_occupancy_trajectory():
-    """A/B the partial-occupancy masked-step paths at half occupancy.
-
-    The dense-capacity path (``masked_dense_min_occupancy=0.0``: cheap
-    kernels over the full resident batch, O(N^2) write phase skipping
-    inactive slots in place) against the compact gather path
-    (``masked_dense_min_occupancy=1.0``: fancy-index gather/scatter of
-    the active rows), both stepping 8 active of 16 resident slots on
-    the state-heavy config.  The paths are numerically interchangeable
-    (pinned in ``tests/test_masked_step.py``); the artifact records
-    which one wins at this occupancy, and the floor only forbids the
-    dense path from regressing materially below the gather path it is
-    meant to replace above the threshold.
-    """
-    dense = measure_masked_occupancy(
-        HiMAConfig(**OCCUPANCY_CONFIG, masked_dense_min_occupancy=0.0),
-        capacity=16, active=8, seq_len=8, repeats=3,
-    )
-    gather = measure_masked_occupancy(
-        HiMAConfig(**OCCUPANCY_CONFIG, masked_dense_min_occupancy=1.0),
-        capacity=16, active=8, seq_len=8, repeats=3,
-    )
-    _merge_artifact({
-        "variants": {
-            "masked_dense_occupancy": dense.to_json(),
-            "masked_gather_occupancy": gather.to_json(),
-        }
-    })
-    assert dense.masked_dense_min_occupancy == 0.0
-    assert gather.masked_dense_min_occupancy == 1.0
-    assert dense.batch1_max_abs_diff <= 1e-10
-    assert gather.batch1_max_abs_diff <= 1e-10
-    assert dense.steps_per_sec >= 0.8 * gather.steps_per_sec
-
-
 def test_backend_ab_trajectory():
     """A/B the kernel backends on the bandwidth-bound N=256 config.
 
@@ -252,53 +172,6 @@ def test_backend_ab_trajectory():
     )
     assert small["tuned"].batch1_max_abs_diff <= 1e-9
     assert small["tuned"].steps_per_sec >= 0.97 * small["reference"].steps_per_sec
-
-
-def test_read_phase_ab_trajectory():
-    """A/B the fused read-phase kernel against the two-sweep read path.
-
-    Three contestants on the bandwidth-bound N=256 config: the
-    reference backend (control; classic forward/backward as two
-    separate linkage matvecs), the tuned backend with
-    ``read_phase_fused=False`` (blocked write phase, unfused read), and
-    the tuned backend with the fused read kernel (one cache-blocked
-    panel pass over the linkage computes both directions — the linkage
-    is touched once per tick instead of twice).
-
-    The ISSUE-10 acceptance floor: the fused read variant must hold
-    >= 1.15x the reference backend's whole-tick throughput.  The
-    fused-vs-unfused delta itself is recorded but only softly gated
-    (fusion must not *cost* throughput beyond CI noise) — most of the
-    tuned backend's win comes from its write phase, and the read-phase
-    fusion's marginal gain is within shared-runner noise some days.
-    """
-    results = measure_backend_ab(
-        HiMAConfig(**DTYPE_AB_CONFIG), batch_size=16, seq_len=8, repeats=9,
-        variants={
-            "reference": {"backend": "reference"},
-            "read_unfused": {"backend": "tuned", "read_phase_fused": False},
-            "read_fused": {"backend": "tuned"},
-        },
-    )
-    _merge_artifact({
-        "variants": {
-            "read_fused": results["read_fused"].to_json(),
-            "read_unfused": results["read_unfused"].to_json(),
-        }
-    })
-    assert results["read_fused"].read_phase_fused
-    assert not results["read_unfused"].read_phase_fused
-    assert results["reference"].batch1_max_abs_diff == 0.0
-    # Both tuned variants stay within the float64 verification
-    # tolerance of the reference trajectory (blocked reductions round
-    # differently; the mix kernel is bitwise).
-    assert results["read_fused"].batch1_max_abs_diff <= 1e-9
-    assert results["read_unfused"].batch1_max_abs_diff <= 1e-9
-    floor = 1.15 * results["reference"].steps_per_sec
-    assert results["read_fused"].steps_per_sec >= floor
-    assert results["read_fused"].steps_per_sec >= (
-        0.9 * results["read_unfused"].steps_per_sec
-    )
 
 
 def test_trajectory_schema_valid():

@@ -20,8 +20,9 @@ Two policies:
   argpartition idiom generalized), a K-row sparse write/linkage kernel
   (:func:`repro.core.kernels.sparse_erase_write_linkage_inplace`), sparse
   forward/backward over the previous read weights' support, and top-K
-  read-weight truncation.  Per-step cost drops from O(N^2) to O(K·N)
-  while the state representation (:class:`repro.dnc.numpy_ref.NumpyDNCState`)
+  read-weight truncation whose support the read gather reuses.
+  Per-step cost drops from O(N^2) to O(K·N) while the state
+  representation (:class:`repro.dnc.numpy_ref.NumpyDNCState`)
   stays dense — only the *support* is sparse — so checkpointing,
   migration, and the whole serving stack work unchanged.
 
@@ -41,20 +42,11 @@ that is the dataflow a sparse-access HiMA tile array would move.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.core import kernels as SK
 from repro.core.config import HiMAConfig
 from repro.dnc import numpy_ref as K
-
-
-def _lead_batch(lead: Tuple[int, ...]) -> int:
-    b = 1
-    for d in lead:
-        b *= int(d)
-    return b
 
 
 def _topk_largest(values: np.ndarray, k: int) -> np.ndarray:
@@ -85,11 +77,14 @@ class AccessPolicy:
     """Strategy interface for the five N-scaling phases of a DNC step.
 
     Every method receives the calling engine (for config, memory map,
-    softmax policy, and the masked-step plumbing) plus the traffic log
-    and the word multiplier ``b`` (the active-slot count under a masked
-    dense step, else the lead batch).  Implementations own both the
-    arithmetic *and* the traffic events of their phase, so word
-    accounting scales with whatever the policy actually moves.
+    softmax policy, backend and resident scratch), the traffic log, and
+    the call's :class:`repro.core.engine.StepMode`: ``mode.words`` is
+    the traffic word multiplier (the active-slot count under a masked
+    dense step, else the lead batch), ``mode.active`` the slots to
+    advance in place, ``mode.workspace`` the fused write kernel's output
+    buffers.  Implementations own both the arithmetic *and* the traffic
+    events of their phase, so word accounting scales with whatever the
+    policy actually moves.
     """
 
     #: Sparse policies route every masked step through the engine's
@@ -97,39 +92,40 @@ class AccessPolicy:
     is_sparse = False
     name = "dense"
 
-    def write_content(self, engine, state, interface, log, b):
+    def write_content(self, engine, state, interface, log, mode):
         """Content-based write weighting ``(..., N)`` from the write key."""
         raise NotImplementedError
 
-    def allocation(self, engine, usage, log, b):
+    def allocation(self, engine, usage, log, mode):
         """Allocation weighting ``(..., N)`` from the updated usage."""
         raise NotImplementedError
 
-    def write_phase(self, engine, state, write_w, interface, log, b):
+    def write_phase(self, engine, state, write_w, interface, log, mode):
         """Erase+write, linkage, precedence → ``(memory, linkage, precedence)``.
 
-        Under the engine's masked dense step (``engine._fused_active``
-        set) the policy must update the resident arrays of the active
-        slots in place and return them; otherwise it must leave
-        ``state`` unmutated and return fresh (or workspace-backed)
+        With ``mode.active`` set (the engine's masked dense step) the
+        policy must update the resident arrays of the active slots in
+        place and return them; otherwise it must leave ``state``
+        unmutated and return fresh (or ``mode.workspace``-backed)
         arrays.
         """
         raise NotImplementedError
 
-    def read_content(self, engine, memory, interface, log, b):
+    def read_content(self, engine, memory, interface, log, mode):
         """Content-based read weighting ``(..., R, N)`` on the new memory."""
         raise NotImplementedError
 
-    def forward_backward(self, engine, linkage, prev_read_w, log):
+    def forward_backward(self, engine, linkage, prev_read_w, log, mode):
         """Temporal forward/backward weightings ``(..., R, N)`` pair."""
         raise NotImplementedError
 
-    def read_weights(self, engine, content_r, fwd, bwd, read_modes):
-        """Merge content/forward/backward into the read weighting."""
-        raise NotImplementedError
+    def read(self, engine, memory, content_r, fwd, bwd, interface, log, mode):
+        """Read weighting ``(..., R, N)`` and weighted read ``(..., R, W)``.
 
-    def read_vectors(self, engine, memory, read_w, log, b):
-        """Weighted read ``(..., R, W)`` plus the psum-reduction traffic."""
+        Merges content/forward/backward under the interface's read
+        modes, gathers the read vectors, and logs the psum-reduction
+        traffic; returns ``(read_w, read_vecs)``.
+        """
         raise NotImplementedError
 
     # -- profiling ----------------------------------------------------
@@ -184,9 +180,10 @@ class DenseAccess(AccessPolicy):
     is_sparse = False
     name = "dense"
 
-    def write_content(self, engine, state, interface, log, b):
+    def write_content(self, engine, state, interface, log, mode):
         nt = engine.config.num_tiles
         ct = engine.memory_map.ct_node
+        b = mode.words
         # Row-wise shards: normalization fully local; scores need one
         # global softmax -> tiles exchange (max, sum) psums with the CT.
         scores = engine.backend.write_scores(state.memory, interface.write_key)
@@ -197,54 +194,47 @@ class DenseAccess(AccessPolicy):
             log.add("similarity", ct, t, 2 * b)  # global max + normalizer back
         return content_w
 
-    def allocation(self, engine, usage, log, b):
-        order = engine._usage_sort(usage, log)
+    def allocation(self, engine, usage, log, mode):
+        order = engine._usage_sort(usage, log, mode)
         alloc = K.allocation_from_order(usage, order)
         # Running product hand-off between tiles in sorted order.
         for hop in range(engine.config.num_tiles - 1):
-            log.add("allocation", hop, hop + 1, b)
+            log.add("allocation", hop, hop + 1, mode.words)
         return alloc
 
-    def write_phase(self, engine, state, write_w, interface, log, b):
-        cfg = engine.config
-        nt = cfg.num_tiles
+    def write_phase(self, engine, state, write_w, interface, log, mode):
+        nt = engine.config.num_tiles
         ct = engine.memory_map.ct_node
-        # Traffic follows the blockwise dataflow exactly as before; the
-        # arithmetic runs through the fused single-sweep kernel by
-        # default (bitwise identical to the three-pass path, which the
-        # ``fused_write_linkage=False`` escape hatch preserves verbatim).
+        b = mode.words
+        # Traffic follows the blockwise dataflow; the arithmetic runs
+        # through the fused single-sweep kernel (bitwise identical to
+        # numpy_ref's three-pass erase/linkage/precedence kernels).
         engine._log_linkage_traffic(b)
         # Global sum of w_w: psum ring ending at the CT.
         for hop in range(nt - 1):
             log.add("precedence", hop, hop + 1, b)
         log.add("precedence", nt - 1, ct, b)
-        if cfg.fused_write_linkage and engine._fused_active is not None:
+        if mode.active is not None:
             # Partial-occupancy dense masked step: advance only the
             # active slots, in place on the resident arrays — the
             # inactive N^2 rows are neither read nor written.
             engine.backend.fused_erase_write_linkage_inplace(
                 state.memory, state.linkage, state.precedence,
                 write_w, interface.erase, interface.write_vector,
-                active=engine._fused_active, scratch=engine._masked_scratch,
+                active=mode.active, scratch=engine._masked_scratch,
             )
             return state.memory, state.linkage, state.precedence
-        if cfg.fused_write_linkage:
-            return engine.backend.fused_erase_write_linkage(
-                state.memory, state.linkage, state.precedence,
-                write_w, interface.erase, interface.write_vector,
-                workspace=engine._active_workspace,
-            )
-        memory = K.erase_write(
-            state.memory, write_w, interface.erase, interface.write_vector
+        return engine.backend.fused_erase_write_linkage(
+            state.memory, state.linkage, state.precedence,
+            write_w, interface.erase, interface.write_vector,
+            workspace=mode.workspace,
         )
-        linkage = engine._linkage_update(state, write_w)
-        precedence = K.precedence_update(state.precedence, write_w)
-        return memory, linkage, precedence
 
-    def read_content(self, engine, memory, interface, log, b):
+    def read_content(self, engine, memory, interface, log, mode):
         nt = engine.config.num_tiles
         ct = engine.memory_map.ct_node
         r = engine.config.num_reads
+        b = mode.words
         rscores = engine.backend.read_scores(memory, interface.read_keys)
         for t in range(nt):
             log.add("similarity", t, ct, 2 * b * r)
@@ -255,23 +245,25 @@ class DenseAccess(AccessPolicy):
             log.add("similarity", ct, t, 2 * b * r)
         return content_r
 
-    def forward_backward(self, engine, linkage, prev_read_w, log):
-        return engine._forward_backward(linkage, prev_read_w, log)
+    def forward_backward(self, engine, linkage, prev_read_w, log, mode):
+        return engine._forward_backward(linkage, prev_read_w, log, mode)
 
-    def read_weights(self, engine, content_r, fwd, bwd, read_modes):
-        return engine.backend.read_weight_mix(content_r, fwd, bwd, read_modes)
-
-    def read_vectors(self, engine, memory, read_w, log, b):
+    def read(self, engine, memory, content_r, fwd, bwd, interface, log, mode):
         cfg = engine.config
         ct = engine.memory_map.ct_node
+        read_w = engine.backend.read_weight_mix(
+            content_r, fwd, bwd, interface.read_modes
+        )
         # Under the masked dense step the inactive slots' reads are
         # discarded by the scatter, so the backend may skip them.
         read_vecs = engine.backend.read_vectors(
-            memory, read_w, active=engine._fused_active
+            memory, read_w, active=mode.active
         )
         for t in range(cfg.num_tiles):
-            log.add("memory_read", t, ct, b * cfg.num_reads * cfg.word_size)
-        return read_vecs
+            log.add(
+                "memory_read", t, ct, mode.words * cfg.num_reads * cfg.word_size
+            )
+        return read_w, read_vecs
 
 
 class SparseAccess(AccessPolicy):
@@ -322,9 +314,10 @@ class SparseAccess(AccessPolicy):
         np.put_along_axis(out, idx, soft, axis=-1)
         return out
 
-    def write_content(self, engine, state, interface, log, b):
+    def write_content(self, engine, state, interface, log, mode):
         nt = engine.config.num_tiles
         ct = engine.memory_map.ct_node
+        b = mode.words
         # The similarity scan stays a dense O(N·W) matmul (it is BLAS
         # bound, not the hot term); sparsity enters at the softmax.
         scores = engine.backend.write_scores(state.memory, interface.write_key)
@@ -339,9 +332,10 @@ class SparseAccess(AccessPolicy):
         return content_w
 
     # -- allocation ---------------------------------------------------
-    def allocation(self, engine, usage, log, b):
+    def allocation(self, engine, usage, log, mode):
         cfg = engine.config
         ct = engine.memory_map.ct_node
+        b = mode.words
         per_tile = max(1, self.top_k // cfg.num_tiles)
         for t in range(cfg.num_tiles):
             log.add("usage_sort", t, ct, b * per_tile)
@@ -361,10 +355,11 @@ class SparseAccess(AccessPolicy):
         return alloc
 
     # -- write phase --------------------------------------------------
-    def write_phase(self, engine, state, write_w, interface, log, b):
+    def write_phase(self, engine, state, write_w, interface, log, mode):
         cfg = engine.config
         mmap = engine.memory_map
         nt = cfg.num_tiles
+        b = mode.words
         # Same blockwise message pattern as the dense path, but each
         # segment carries only the ≤K written rows' worth of operands.
         rows_k = max(1, self.top_k // nt)
@@ -377,14 +372,14 @@ class SparseAccess(AccessPolicy):
         for hop in range(nt - 1):
             log.add("precedence", hop, hop + 1, b)
         log.add("precedence", nt - 1, mmap.ct_node, b)
-        if engine._fused_active is not None:
+        if mode.active is not None:
             # Masked dense step: advance the active slots in place on
             # the resident arrays, touching only the written rows of
             # the O(N^2) fields.
             engine.backend.sparse_erase_write_linkage_inplace(
                 state.memory, state.linkage, state.precedence,
                 write_w, interface.erase, interface.write_vector,
-                active=engine._fused_active,
+                active=mode.active,
             )
             return state.memory, state.linkage, state.precedence
         # Plain (caller-owned state) step: same arithmetic on copies —
@@ -395,10 +390,11 @@ class SparseAccess(AccessPolicy):
         )
 
     # -- read ---------------------------------------------------------
-    def read_content(self, engine, memory, interface, log, b):
+    def read_content(self, engine, memory, interface, log, mode):
         nt = engine.config.num_tiles
         ct = engine.memory_map.ct_node
         r = engine.config.num_reads
+        b = mode.words
         rscores = engine.backend.read_scores(memory, interface.read_keys)
         for t in range(nt):
             log.add("similarity", t, ct, 2 * b * r)
@@ -410,11 +406,11 @@ class SparseAccess(AccessPolicy):
             log.add("similarity", ct, t, 2 * b * r)
         return content_r
 
-    def forward_backward(self, engine, linkage, prev_read_w, log):
+    def forward_backward(self, engine, linkage, prev_read_w, log, mode):
         cfg = engine.config
         mmap = engine.memory_map
         r = prev_read_w.shape[-2]
-        b = engine._traffic_words(_lead_batch(prev_read_w.shape[:-2]))
+        b = mode.words
         # Dense message pattern, K-scaled words: operand segments and
         # psum chains carry the support rows only.
         rows_k = max(1, self.top_k // cfg.num_tiles)
@@ -439,26 +435,26 @@ class SparseAccess(AccessPolicy):
         vals = np.take_along_axis(prev_read_w, idx, axis=-1)
         return engine.backend.sparse_forward_backward(linkage, vals, idx)
 
-    def read_weights(self, engine, content_r, fwd, bwd, read_modes):
-        read_w = engine.backend.read_weight_mix(content_r, fwd, bwd, read_modes)
-        # Truncate to the K largest entries per head (no renormalize,
-        # following Rae et al.) so the recurrent read support stays
-        # sparse.  At K=N this is an identity copy.
-        idx = _topk_largest(read_w, self.top_k)
-        vals = np.take_along_axis(read_w, idx, axis=-1)
-        out = np.zeros_like(read_w)
-        np.put_along_axis(out, idx, vals, axis=-1)
-        return out
-
-    def read_vectors(self, engine, memory, read_w, log, b):
+    def read(self, engine, memory, content_r, fwd, bwd, interface, log, mode):
         cfg = engine.config
         ct = engine.memory_map.ct_node
-        idx = _topk_largest(read_w, self.top_k)
-        vals = np.take_along_axis(read_w, idx, axis=-1)
+        mixed = engine.backend.read_weight_mix(
+            content_r, fwd, bwd, interface.read_modes
+        )
+        # Truncate to the K largest entries per head (no renormalize,
+        # following Rae et al.) so the recurrent read support stays
+        # sparse.  At K=N this is an identity copy.  The read gather
+        # reuses the same (vals, idx) support.
+        idx = _topk_largest(mixed, self.top_k)
+        vals = np.take_along_axis(mixed, idx, axis=-1)
+        read_w = np.zeros_like(mixed)
+        np.put_along_axis(read_w, idx, vals, axis=-1)
         read_vecs = engine.backend.sparse_read_vectors(memory, vals, idx)
         for t in range(cfg.num_tiles):
-            log.add("memory_read", t, ct, b * cfg.num_reads * cfg.word_size)
-        return read_vecs
+            log.add(
+                "memory_read", t, ct, mode.words * cfg.num_reads * cfg.word_size
+            )
+        return read_w, read_vecs
 
 
 def make_access_policy(config: HiMAConfig) -> AccessPolicy:

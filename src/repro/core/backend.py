@@ -404,6 +404,8 @@ class TunedBackend(ReferenceBackend):
     """
 
     name = "tuned"
+    read_phase_label = "read_phase"
+    read_linkage_passes = 1
 
     #: Target bytes per streamed linkage panel (input panel, output
     #: panel, and per-panel temporary each get roughly this much, so the
@@ -416,15 +418,8 @@ class TunedBackend(ReferenceBackend):
     #: panel/scratch bookkeeping is pure overhead there.
     min_blocked_n = 128
 
-    def __init__(self, config=None):
+    def __init__(self):
         self._scratch: Dict[Tuple, np.ndarray] = {}
-        #: The fused read-phase sweep honours the config's
-        #: ``read_phase_fused`` A/B flag; a bare ``TunedBackend()``
-        #: (tests, third-party construction) defaults to fused.
-        self.read_fused = bool(getattr(config, "read_phase_fused", True))
-        if self.read_fused:
-            self.read_phase_label = "read_phase"
-            self.read_linkage_passes = 1
 
     def _buf(self, tag: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
         key = (tag, shape, np.dtype(dtype).str)
@@ -777,13 +772,12 @@ class TunedBackend(ReferenceBackend):
 
         Delegates to the reference pair below :attr:`min_blocked_n`
         (both matmuls already fit in cache), under ``active=`` (the
-        masked base path gathers the sub-batch and re-enters here), for
-        non-contiguous operands, and under ``read_phase_fused=False``.
+        masked base path gathers the sub-batch and re-enters here), and
+        for non-contiguous operands.
         """
         n = linkage.shape[-1]
         if (
-            not self.read_fused
-            or active is not None
+            active is not None
             or n < self.min_blocked_n
             or not (linkage.flags.c_contiguous and read_w.flags.c_contiguous)
         ):
@@ -823,7 +817,7 @@ class TunedBackend(ReferenceBackend):
         temporaries change: two resident buffers instead of five fresh
         ``(.., R, N)`` allocations per step.
         """
-        if not self.read_fused or active is not None:
+        if active is not None:
             return super().read_weight_mix(
                 content_w, fwd, bwd, read_modes, active=active
             )
@@ -836,11 +830,8 @@ class TunedBackend(ReferenceBackend):
         out += tmp
         return out
 
-    def _streams_sparse_read(self, n: int) -> bool:
-        return self.read_fused and n >= self.min_blocked_n
-
     def sparse_read_linkage_rows(self, n, r, top_k):
-        if self._streams_sparse_read(n):
+        if n >= self.min_blocked_n:
             return n
         return super().sparse_read_linkage_rows(n, r, top_k)
 
@@ -858,10 +849,10 @@ class TunedBackend(ReferenceBackend):
         order differs from the reference (tolerance-level).  Each batch
         slot runs the same calls as a batch of one, so batched and
         solo steps agree bitwise.  Delegates to the reference kernel
-        below :attr:`min_blocked_n` and under ``read_phase_fused=False``.
+        below :attr:`min_blocked_n`.
         """
         n = linkage.shape[-1]
-        if not self._streams_sparse_read(n):
+        if n < self.min_blocked_n:
             return super().sparse_forward_backward(linkage, vals, idx)
         read_w = np.zeros(
             vals.shape[:-1] + (n,), dtype=np.result_type(linkage, vals)
@@ -885,7 +876,7 @@ def register_backend(name: str, factory: BackendFactory) -> None:
 
 
 register_backend("reference", lambda config: ReferenceBackend())
-register_backend("tuned", lambda config: TunedBackend(config))
+register_backend("tuned", lambda config: TunedBackend())
 
 _torch_probe_done = False
 

@@ -74,35 +74,6 @@ class HiMAConfig:
     #: through the write phase).  Must be 0 (unset) under dense access.
     access_top_k: int = 0
 
-    #: Run the write phase (erase+write, linkage, precedence) through the
-    #: fused single-sweep kernel
-    #: :func:`repro.core.kernels.fused_erase_write_linkage` instead of
-    #: three independent passes.  Bitwise identical either way (the fused
-    #: kernel replicates the reference ufunc order exactly); the flag
-    #: exists for A/B benchmarking and as an escape hatch.
-    fused_write_linkage: bool = True
-
-    #: Let the backend fuse the read phase's forward/backward linkage
-    #: sweeps into one blocked pass (and route the read-weight mix
-    #: through backend scratch).  Only backends with a fused read
-    #: kernel honour it (``tuned``, ``torch``); the reference path is
-    #: unaffected.  Like ``fused_write_linkage``, the flag exists for
-    #: A/B benchmarking (the ``read_fused``/``read_unfused`` variants
-    #: of ``BENCH_batched_throughput.json``) and as an escape hatch.
-    read_phase_fused: bool = True
-
-    #: Occupancy fraction at which a partially-masked step
-    #: (:meth:`~repro.core.engine.TiledEngine.step` with ``active=``
-    #: covering some but not all slots) switches from the compact
-    #: gather/scatter path to the *dense-capacity* path: every cheap
-    #: per-row kernel runs over the full resident batch (no gathers)
-    #: while the O(N^2) write phase skips inactive slots in place via
-    #: the masked fused kernel.  ``0.0`` always takes the dense path,
-    #: ``1.0`` never does (full occupancy already has its own zero-copy
-    #: fast path).  Non-distributed engines only — the DNC-D stacked
-    #: kernels view-shard the state, so it keeps the compact path.
-    masked_dense_min_occupancy: float = 0.75
-
     # Implementation parameters.
     macs_per_cycle: int = 2048  # per-PT M-M engine throughput
     link_words_per_cycle: int = 32  # NoC link width (words/flit)
@@ -154,9 +125,6 @@ class HiMAConfig:
                 f"access_top_k ({self.access_top_k}) requires "
                 f"access_policy='sparse'"
             )
-        check_probability(
-            "masked_dense_min_occupancy", self.masked_dense_min_occupancy
-        )
         check_positive("macs_per_cycle", self.macs_per_cycle)
         check_positive("link_words_per_cycle", self.link_words_per_cycle)
         check_positive("sequence_length", self.sequence_length)

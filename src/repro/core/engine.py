@@ -25,7 +25,7 @@ count scales by ``B``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -161,9 +161,35 @@ class TrafficLog:
         self._compacted_inter_pt = 0
 
 
-def _lead_batch(lead: Tuple[int, ...]) -> int:
-    """Word-count multiplier for a leading batch shape (1 if unbatched)."""
-    return int(lead[0]) if lead else 1
+#: Occupancy fraction at or above which a partially-masked step of a
+#: non-distributed engine takes the dense-capacity path (every cheap
+#: per-row kernel over the whole resident batch, the O(N^2) write phase
+#: skipping inactive slots in place) instead of the compact
+#: gather/step/scatter path.  Measured median ms/step, one BLAS thread,
+#: each path forced: at 50-94% occupancy and N >= 256 dense-capacity is
+#: 1.1-1.7x faster than compact; at N=128 with capacity 64 and 1-16
+#: active slots compact is 1.3-4.3x faster; at full occupancy the
+#: zero-copy path and the in-place write tie on the tuned backend
+#: (0.95-1.05x).  Occupancy therefore picks the path.
+MASKED_DENSE_MIN_OCCUPANCY = 0.75
+
+
+@dataclass(frozen=True, eq=False)
+class StepMode:
+    """How one step call runs; passed down the call, never stored.
+
+    ``words`` multiplies every traffic event's word count: the lead
+    batch, or the active-slot count under the dense-capacity masked
+    step.  ``active`` is the slot index that write phase and read gather
+    advance in place on the resident arrays (dense-capacity and sparse
+    masked steps), else ``None``.  ``workspace`` is the resident buffer
+    set the fused write kernel may write its outputs into — only when
+    the engine owns the step's output arrays — else ``None``.
+    """
+
+    words: int
+    active: Optional[np.ndarray] = None
+    workspace: Optional[SK.FusedWriteWorkspace] = None
 
 
 def gather_states(states: Sequence[NumpyDNCState]) -> NumpyDNCState:
@@ -236,20 +262,14 @@ class TiledEngine:
         #: backends hold scratch that must not be shared across the
         #: sharded serving stack's threads (see :mod:`repro.core.backend`).
         self.backend = make_backend(config)
-        # Resident buffers for the fused write kernel, used only inside
-        # masked steps where this engine controls the output arrays'
-        # lifecycle (see _step_masked); plain steps return caller-owned
-        # fresh arrays and must never write into shared buffers.
+        # Resident buffers for the fused write kernel, handed to a step
+        # (StepMode.workspace) only where this engine controls the
+        # output arrays' lifecycle (run_batch, full-occupancy masked
+        # steps); plain steps return caller-owned fresh arrays and must
+        # never write into shared buffers.
         self._fused_workspace = SK.FusedWriteWorkspace()
-        self._active_workspace: Optional[SK.FusedWriteWorkspace] = None
-        # Partial-occupancy dense masked step plumbing: when set, the
-        # fused write phase skips inactive slots in place
-        # (kernels.fused_erase_write_linkage_inplace with the reused
-        # scratch dict) and traffic words scale by the active count
-        # instead of the resident batch size.
-        self._fused_active: Optional[np.ndarray] = None
+        # Reused scratch of the in-place masked write kernel.
         self._masked_scratch: Dict = {}
-        self._traffic_words_scale: Optional[int] = None
         # DNC-D de-aliasing buffers for workspace-backed masked steps:
         # staging copies of the view-sharded inputs plus the resident
         # scatter target for the full linkage (see _step_distributed).
@@ -298,22 +318,28 @@ class TiledEngine:
         order — it is then a permutation, and the per-row kernels make
         batch order irrelevant) the step runs directly on the resident
         arrays with **zero** gather/scatter copies.  Partial occupancy
-        at or above ``config.masked_dense_min_occupancy`` (non-DNC-D)
+        at or above :data:`MASKED_DENSE_MIN_OCCUPANCY` (non-DNC-D)
         takes the dense-capacity path: every cheap kernel runs over the
         full resident batch while the O(N^2) write phase skips inactive
         slots in place, so only the small per-row fields are scattered
-        back.  Below the threshold (and always for DNC-D) the active
-        rows are gathered/scattered with one vectorized fancy index per
-        field (:attr:`last_state_bytes_copied` records the cost either
-        way).  Traffic words scale by the number of *active* slots.
+        back.  Below it (and always for DNC-D) the active rows are
+        gathered/scattered with one vectorized fancy index per field
+        (:attr:`last_state_bytes_copied` records the cost either way).
+        Traffic words scale by the number of *active* slots.
         """
         x = np.asarray(x, dtype=self.config.np_dtype)
         self.last_state_bytes_copied = 0
         if active is not None:
             return self._step_masked(x, state, active)
+        lead = int(x.shape[0]) if x.ndim > 1 else 1
+        return self._advance(x, state, StepMode(lead))
+
+    def _advance(
+        self, x: np.ndarray, state: NumpyDNCState, mode: StepMode
+    ) -> Tuple[np.ndarray, NumpyDNCState]:
         if self.config.distributed:
-            return self._step_distributed(x, state)
-        return self._step_dnc(x, state)
+            return self._step_distributed(x, state, mode)
+        return self._step_dnc(x, state, mode)
 
     def _step_masked(
         self, x: np.ndarray, state: NumpyDNCState, active: np.ndarray
@@ -355,19 +381,16 @@ class TiledEngine:
             # inactive slots in place.  Sparse + distributed is rejected
             # at config time, so no DNC-D case arises here.
             return self._step_masked_dense(x, state, idx)
-        step_fn = (
-            self._step_distributed if self.config.distributed else self._step_dnc
-        )
         if (
             idx.size < b
             and not self.config.distributed
-            and idx.size >= self.config.masked_dense_min_occupancy * b
+            and idx.size >= MASKED_DENSE_MIN_OCCUPANCY * b
         ):
-            # Partial occupancy above the configured threshold: run the
-            # step over the whole resident batch with zero gathers
-            # rather than paying the compact path's per-field
-            # gather/scatter.  DNC-D is excluded — its stacked kernels
-            # view-shard the state arrays.
+            # Partial occupancy at or above the threshold: run the step
+            # over the whole resident batch with zero gathers rather
+            # than paying the compact path's per-field gather/scatter.
+            # DNC-D is excluded — its stacked kernels view-shard the
+            # state arrays.
             return self._step_masked_dense(x, state, idx)
         if idx.size == b:
             # Dense fast path: every slot advances (the validated idx is
@@ -391,16 +414,12 @@ class TiledEngine:
             # workspace — its sub-batch shape varies with the active
             # count, which would accumulate one retained buffer set per
             # distinct occupancy.
-            use_workspace = self.config.fused_write_linkage
             old = (state.memory, state.linkage, state.precedence)
-            if use_workspace:
-                self._active_workspace = self._fused_workspace
-            try:
-                y, new_state = step_fn(x, state)
-            finally:
-                self._active_workspace = None
+            y, new_state = self._advance(
+                x, state, StepMode(b, workspace=self._fused_workspace)
+            )
             state.assign_from(new_state)
-            if use_workspace and not self.config.distributed:
+            if not self.config.distributed:
                 self._fused_workspace.recycle(*old)
             return y, state
         prof = self.profiler
@@ -409,7 +428,7 @@ class TiledEngine:
         sub = state.take_rows(idx)
         if prof is not None:
             prof.lap("gather_scatter", tg, sub.nbytes)
-        y_sub, new_sub = step_fn(x[idx], sub)
+        y_sub, new_sub = self._advance(x[idx], sub, StepMode(int(idx.size)))
         if prof is not None:
             tg = prof.now()
         state.write_rows(idx, new_sub)
@@ -425,12 +444,13 @@ class TiledEngine:
     ) -> Tuple[np.ndarray, NumpyDNCState]:
         """Partial-occupancy masked step over the full resident batch.
 
-        Above ``masked_dense_min_occupancy`` the compact path's
-        per-field gather/scatter of the active rows costs more than
-        simply computing the cheap per-row kernels for every resident
-        slot, so this path steps the whole capacity-``B`` batch with
-        zero gathers: the O(N^2) write phase skips inactive slots *in
-        place* (:func:`repro.core.kernels.fused_erase_write_linkage_inplace`),
+        At or above :data:`MASKED_DENSE_MIN_OCCUPANCY` the compact
+        path's per-field gather/scatter of the active rows costs more
+        than simply computing the cheap per-row kernels for every
+        resident slot, so this path steps the whole capacity-``B``
+        batch with zero gathers: the O(N^2) write phase skips inactive
+        slots *in place*
+        (:func:`repro.core.kernels.fused_erase_write_linkage_inplace`),
         and only the small per-row state fields are scattered back.
         Inactive slots stay bitwise untouched, inactive ``y`` rows are
         zero, and traffic words scale by the active count — the same
@@ -438,29 +458,15 @@ class TiledEngine:
         :attr:`last_state_bytes_copied` cost of one write per active
         row of the non-resident fields (the N^2 fields never move).
 
-        With ``fused_write_linkage=False`` the three-pass write phase
-        has no masked form, so it computes all ``B`` rows and the three
-        big fields join the scatter — the escape hatch stays available
-        at the cost of the extra write-phase compute.
-
         Sparse access (``access_policy="sparse"``) routes *every* masked
         step here, including full occupancy: its write phase
         (:func:`repro.core.kernels.sparse_erase_write_linkage_inplace`)
-        is masked-in-place by construction, so ``_fused_active`` is set
-        regardless of the ``fused_write_linkage`` flag.
+        is masked-in-place by construction.
         """
         b = state.batch_size
-        self._traffic_words_scale = int(idx.size)
-        self._fused_active = (
-            idx
-            if (self.config.fused_write_linkage or self.access.is_sparse)
-            else None
+        y, new_state = self._step_dnc(
+            x, state, StepMode(int(idx.size), active=idx)
         )
-        try:
-            y, new_state = self._step_dnc(x, state)
-        finally:
-            self._fused_active = None
-            self._traffic_words_scale = None
         prof = self.profiler
         if prof is not None:
             tg = prof.now()
@@ -469,7 +475,7 @@ class TiledEngine:
             new = getattr(new_state, name)
             cur = getattr(state, name)
             if new is cur:
-                continue  # the masked fused write phase updated it in place
+                continue  # the masked write phase updated it in place
             cur[idx] = new[idx]
             copied += idx.size * cur[0].nbytes
         self.last_state_bytes_copied = copied
@@ -479,12 +485,6 @@ class TiledEngine:
         mask[idx] = True
         y[~mask] = 0.0
         return y, state
-
-    def _traffic_words(self, lead_batch: int) -> int:
-        """Traffic word multiplier: the active count under the
-        partial-occupancy dense masked step, else the lead batch."""
-        scale = self._traffic_words_scale
-        return lead_batch if scale is None else scale
 
     def run(self, inputs: np.ndarray) -> np.ndarray:
         """Run a ``(T, input_size)`` sequence; returns ``(T, output_size)``.
@@ -514,7 +514,9 @@ class TiledEngine:
             raise ConfigError(
                 f"run_batch expects (T, B>=1, input_size) inputs, got {inputs.shape}"
             )
+        inputs = np.asarray(inputs, dtype=self.config.np_dtype)
         steps, batch = inputs.shape[0], inputs.shape[1]
+        self.last_state_bytes_copied = 0
         state = self.initial_state(batch_size=batch)
         outputs = np.empty(
             (steps, batch, self.reference.config.output_size),
@@ -527,37 +529,31 @@ class TiledEngine:
         # buffers differ.  Public step() callers keep fresh outputs:
         # they may retain states arbitrarily (checkpoints, arenas).
         use_workspace = (
-            self.config.fused_write_linkage
-            and not self.config.distributed
-            and self.config.access_policy == "dense"
+            not self.config.distributed and not self.access.is_sparse
         )
-        try:
-            for t in range(steps):
-                if use_workspace:
-                    self._active_workspace = self._fused_workspace
-                old = state
-                outputs[t], state = self.step(inputs[t], state)
-                if use_workspace:
-                    self._active_workspace = None
-                    self._fused_workspace.recycle(
-                        old.memory, old.linkage, old.precedence
-                    )
-        finally:
-            self._active_workspace = None
+        mode = StepMode(
+            batch, workspace=self._fused_workspace if use_workspace else None
+        )
+        for t in range(steps):
+            old = state
+            outputs[t], state = self._advance(inputs[t], state, mode)
+            if use_workspace:
+                self._fused_workspace.recycle(
+                    old.memory, old.linkage, old.precedence
+                )
         return outputs
 
     # ------------------------------------------------------------------
     # DNC mode: exact sharded execution
     # ------------------------------------------------------------------
     def _step_dnc(
-        self, x: np.ndarray, state: NumpyDNCState
+        self, x: np.ndarray, state: NumpyDNCState, mode: StepMode
     ) -> Tuple[np.ndarray, NumpyDNCState]:
         ref = self.reference
         nt = self.config.num_tiles
         ct = self.memory_map.ct_node
         log = self.traffic
-        lead = x.shape[:-1]
-        b = self._traffic_words(_lead_batch(lead))
+        b = mode.words
         access = self.access
         # Per-phase profiling seam: off (None) by default, near-zero when
         # on — each enabled phase costs one perf_counter call and a dict
@@ -586,7 +582,7 @@ class TiledEngine:
         # here, shared by both.
 
         # --- Content-based write weighting (normalize + similarity). -----
-        content_w = access.write_content(self, state, interface, log, b)
+        content_w = access.write_content(self, state, interface, log, mode)
         if prof is not None:
             tp = prof.lap(
                 "content_addressing", tp,
@@ -597,7 +593,7 @@ class TiledEngine:
         psi = K.retention(interface.free_gates, state.read_w)
         usage = K.usage_update(state.usage, state.write_w, psi)
 
-        alloc = access.allocation(self, usage, log, b)
+        alloc = access.allocation(self, usage, log, mode)
 
         write_w = K.write_weight_merge(
             content_w, alloc, interface.write_gate, interface.allocation_gate
@@ -610,7 +606,7 @@ class TiledEngine:
 
         # --- Write phase: erase+write, linkage, precedence. ---------------
         memory, linkage, precedence = access.write_phase(
-            self, state, write_w, interface, log, b
+            self, state, write_w, interface, log, mode
         )
         if prof is not None:
             tp = prof.lap(
@@ -619,7 +615,7 @@ class TiledEngine:
             )
 
         # --- Content-based read weighting on the updated memory. ----------
-        content_r = access.read_content(self, memory, interface, log, b)
+        content_r = access.read_content(self, memory, interface, log, mode)
         if prof is not None:
             tp = prof.lap(
                 "content_addressing", tp,
@@ -627,14 +623,14 @@ class TiledEngine:
             )
 
         # --- Forward-backward over the linkage blocks. ---------------------
-        fwd, bwd = access.forward_backward(self, linkage, state.read_w, log)
-
-        read_w = access.read_weights(
-            self, content_r, fwd, bwd, interface.read_modes
+        fwd, bwd = access.forward_backward(
+            self, linkage, state.read_w, log, mode
         )
 
-        # --- Memory read: local partials + psum reduction at the CT. ------
-        read_vecs = access.read_vectors(self, memory, read_w, log, b)
+        # --- Read weighting + memory read: local partials, psum at CT. ----
+        read_w, read_vecs = access.read(
+            self, memory, content_r, fwd, bwd, interface, log, mode
+        )
         if prof is not None:
             # Fused-read backends report under "read_phase" so profiles
             # distinguish the single-pass sweep from the classic path.
@@ -657,9 +653,9 @@ class TiledEngine:
     def _log_linkage_traffic(self, b: int) -> None:
         """Blockwise segment-distribution traffic for the linkage update.
 
-        Traffic follows the submatrix grid exactly whichever arithmetic
-        path (fused or three-pass) computes the update — the dataflow is
-        a property of the partition, not of the kernel fusion.
+        Traffic follows the submatrix grid exactly whichever kernel
+        computes the update — the dataflow is a property of the
+        partition, not of the kernel fusion.
         """
         cfg = self.config
         mmap = self.memory_map
@@ -673,32 +669,16 @@ class TiledEngine:
             for owner in mmap.row_segment_owners(cols):
                 log.add("linkage", owner, t, 2 * b * mmap.rows_per_tile)
 
-    def _linkage_update(
-        self, state: NumpyDNCState, write_w: np.ndarray
-    ) -> np.ndarray:
-        """Three-pass linkage arithmetic (``fused_write_linkage=False``).
-
-        The arithmetic — which is cellwise and therefore identical
-        however the matrix is cut — runs as one contiguous in-place pass
-        (under batching the blockwise form costs Nt strided
-        ``(B, nr, nc)`` updates and dominates the step).
-        """
-        n = self.config.memory_size
-        w_rows = write_w[..., :, None]
-        # Same association as the reference kernel ((1 - w_i) - w_j) so the
-        # decay stays bitwise identical; one full-size allocation total.
-        linkage = np.subtract(1.0 - w_rows, write_w[..., None, :])
-        linkage *= state.linkage
-        linkage += w_rows * state.precedence[..., None, :]
-        linkage[..., np.arange(n), np.arange(n)] = 0.0
-        return linkage
-
     def _forward_backward(
-        self, linkage: np.ndarray, prev_read_w: np.ndarray, log: TrafficLog
+        self,
+        linkage: np.ndarray,
+        prev_read_w: np.ndarray,
+        log: TrafficLog,
+        mode: StepMode,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``f = L w_r`` / ``b = L^T w_r`` with blockwise psum traffic.
 
-        Like :meth:`_linkage_update`, traffic is logged per linkage block
+        Like the linkage update, traffic is logged per linkage block
         while the compute dispatches through the backend seam (reference:
         one stacked matmul pair; tuned: a fused single-pass panel sweep).
         The NoC events stay identical whichever kernel computes — the
@@ -709,7 +689,7 @@ class TiledEngine:
         cfg = self.config
         mmap = self.memory_map
         r = prev_read_w.shape[-2]
-        b = self._traffic_words(_lead_batch(prev_read_w.shape[:-2]))
+        b = mode.words
         nt_h, nt_w = mmap.nt_h, mmap.nt_w
         for t in range(cfg.num_tiles):
             rows, cols = mmap.linkage_block(t)
@@ -726,10 +706,12 @@ class TiledEngine:
             if bi + 1 < nt_h:
                 log.add("forward_backward", t, t + nt_w, b * r * mmap.block_cols)
         return self.backend.forward_backward(
-            linkage, prev_read_w, active=self._fused_active
+            linkage, prev_read_w, active=mode.active
         )
 
-    def _usage_sort(self, usage: np.ndarray, log: TrafficLog) -> np.ndarray:
+    def _usage_sort(
+        self, usage: np.ndarray, log: TrafficLog, mode: StepMode
+    ) -> np.ndarray:
         """Sorted order via the configured sorter, with traffic.
 
         ``usage`` is ``(N,)`` or batched ``(B, N)``; the returned order has
@@ -740,7 +722,7 @@ class TiledEngine:
         cfg = self.config
         ct = self.memory_map.ct_node
         n_local = cfg.local_rows
-        b = self._traffic_words(_lead_batch(usage.shape[:-1]))
+        b = mode.words
         if cfg.skim_fraction > 0.0:
             order = skimmed_sort_order(usage, cfg.skim_fraction)
             effective = cfg.effective_sort_length
@@ -760,7 +742,7 @@ class TiledEngine:
     # DNC-D mode: purely local tiles, fully stacked
     # ------------------------------------------------------------------
     def _step_distributed(
-        self, x: np.ndarray, state: NumpyDNCState
+        self, x: np.ndarray, state: NumpyDNCState, mode: StepMode
     ) -> Tuple[np.ndarray, NumpyDNCState]:
         """DNC-D: every tile updates only its shard; reads merge at the CT.
 
@@ -774,8 +756,8 @@ class TiledEngine:
         einsum/matmul (see :mod:`repro.core.kernels`), under an optional
         leading batch axis.
 
-        **Workspace-backed masked steps** (``self._active_workspace``
-        set by the full-occupancy masked path): the stacked shard
+        **Workspace-backed masked steps** (``mode.workspace`` set by the
+        full-occupancy masked path): the stacked shard
         operands of the fused write kernel are *views* of the state
         arrays, and the workspace's stacked output buffers become the
         next state's storage — so without care step ``t+1`` would read
@@ -796,8 +778,8 @@ class TiledEngine:
         nt = cfg.num_tiles
         w, r = cfg.word_size, cfg.num_reads
         log = self.traffic
-        lead = x.shape[:-1]
-        b = _lead_batch(lead)
+        b = mode.words
+        workspace = mode.workspace
 
         lstm_h, lstm_c, interface = self._controller(x, state)
         for t in range(nt):
@@ -832,33 +814,19 @@ class TiledEngine:
             content_w, alloc,
             gate(interface.write_gate), gate(interface.allocation_gate),
         )
-        if cfg.fused_write_linkage:
-            local_mem_in, local_link_in, local_prec_in = (
-                local_mem, local_link_prev, local_prec_prev,
-            )
-            if self._active_workspace is not None:
-                # De-alias the view-sharded operands (see docstring).
-                local_mem_in = self._dncd_stage("mem_in", local_mem)
-                local_link_in = self._dncd_stage("link_in", local_link_prev)
-                local_prec_in = self._dncd_stage("prec_in", local_prec_prev)
-            local_new_mem, local_link, local_prec = (
-                self.backend.fused_erase_write_linkage
-            )(
-                local_mem_in, local_link_in, local_prec_in, local_write_w,
-                interface.erase[..., None, :],
-                interface.write_vector[..., None, :],
-                workspace=self._active_workspace,
-            )
-        else:
-            local_new_mem = K.erase_write(
-                local_mem, local_write_w,
-                interface.erase[..., None, :],
-                interface.write_vector[..., None, :],
-            )
-            local_link = K.linkage_update(
-                local_link_prev, local_write_w, local_prec_prev
-            )
-            local_prec = K.precedence_update(local_prec_prev, local_write_w)
+        if workspace is not None:
+            # De-alias the view-sharded operands (see docstring).
+            local_mem = self._dncd_stage("mem_in", local_mem)
+            local_link_prev = self._dncd_stage("link_in", local_link_prev)
+            local_prec_prev = self._dncd_stage("prec_in", local_prec_prev)
+        local_new_mem, local_link, local_prec = (
+            self.backend.fused_erase_write_linkage
+        )(
+            local_mem, local_link_prev, local_prec_prev, local_write_w,
+            interface.erase[..., None, :],
+            interface.write_vector[..., None, :],
+            workspace=workspace,
+        )
 
         local_rscores = self.backend.stacked_read_scores(
             local_new_mem, interface.read_keys
@@ -882,7 +850,7 @@ class TiledEngine:
             log.add("read_vector_collect", t, ct, b * r * w)
 
         y = self._output(lstm_h, read_vecs)
-        if self._active_workspace is not None and cfg.fused_write_linkage:
+        if workspace is not None:
             # Resident scatter target: the state's linkage storage under
             # workspace-backed masked stepping, overwritten in place
             # (its previous blocks were staged above).
@@ -961,14 +929,12 @@ class TiledEngine:
 
     #: Per-dtype divergence tolerance for :meth:`verify_against_reference`.
     #: float64 keeps the historical 1e-9 bound; float32 accumulates
-    #: rounding through the recurrent state, so the bound is loosened to
-    #: what a few steps of ~1e-7 relative error can produce.
-    #: Per-dtype bars for :meth:`verify_against_reference`.  The
-    #: reduced-precision entries cover the torch backend computing the
-    #: hot path in true half precision against the float32-storage
-    #: reference model: ``bfloat16`` keeps 8 mantissa bits (~4e-3
-    #: relative per op) and ``float16`` 11 (~5e-4), amplified over the
-    #: recurrent verify trajectory.
+    #: rounding through the recurrent state, so its bound is what a few
+    #: steps of ~1e-7 relative error can produce.  The reduced-precision
+    #: entries cover the torch backend computing the hot path in true
+    #: half precision against the float32-storage reference model:
+    #: ``bfloat16`` keeps 8 mantissa bits (~4e-3 relative per op) and
+    #: ``float16`` 11 (~5e-4), amplified over the recurrent trajectory.
     VERIFY_TOLERANCES = {
         "float64": 1e-9,
         "float32": 1e-3,

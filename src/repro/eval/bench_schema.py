@@ -17,7 +17,7 @@ each file must contain, consumed by:
 ``BENCH_batched_throughput.json``: one base
 :class:`~repro.eval.runners.BatchedThroughput` entry (flat keys, B=16
 trajectory config) plus a ``variants`` mapping carrying the
-sort-enabled, dtype, and fused-write-kernel A/B entries.
+sort-enabled, dtype, and kernel-backend A/B entries.
 ``BENCH_serve_load.json``: one flat
 :class:`~repro.serve.loadgen.ServeLoadResult` entry (the state-arena
 hot path) plus a ``variants`` mapping with the ``state_arena`` /
@@ -96,38 +96,21 @@ ENTRY_KEYS = (
     "memory_size",
     "two_stage_sort",
     "skim_fraction",
-    "fused_write_linkage",
-    "masked_dense_min_occupancy",
-    "read_phase_fused",
     "backend",
 )
 
 #: Variant entries the artifact must include: the sort-enabled hot paths,
-#: the float64/float32 A/B pair at memory_size >= 256, the fused
-#: write/linkage kernel A/B pair (fused single-sweep vs the three-pass
-#: legacy path, same config otherwise), and the partial-occupancy
-#: masked-step A/B (dense-capacity in-place write phase vs the compact
-#: gather path, same half-occupancy workload), and the kernel-backend
-#: A/B pair (reference vs tuned on the identical bandwidth-bound
-#: float64 N>=256 config; a ``backend_torch`` entry additionally
-#: appears when torch is importable but is never required), and the
-#: read-phase kernel A/B pair (tuned backend with the fused
-#: single-sweep forward/backward read kernel vs the same backend with
-#: ``read_phase_fused=false`` — two separate linkage sweeps — on the
-#: same float64 N>=256 config as the backend pair).
+#: the float64/float32 A/B pair at memory_size >= 256, and the
+#: kernel-backend A/B pair (reference vs tuned on the identical
+#: bandwidth-bound float64 N>=256 config; a ``backend_torch`` entry
+#: additionally appears when torch is importable but is never required).
 REQUIRED_VARIANTS = (
     "two_stage_sort",
     "skim",
     "float64_n256",
     "float32_n256",
-    "fused_write_linkage",
-    "unfused_write_linkage",
-    "masked_dense_occupancy",
-    "masked_gather_occupancy",
     "backend_reference",
     "backend_tuned",
-    "read_fused",
-    "read_unfused",
 )
 
 
@@ -192,30 +175,6 @@ def validate_trajectory(data: object) -> List[str]:
             problems.append("variants['float32_n256']: entry must have dtype='float32'")
         if isinstance(f32.get("memory_size"), int) and f32["memory_size"] < 256:
             problems.append("variants['float32_n256']: memory_size must be >= 256")
-    fused = variants.get("fused_write_linkage")
-    if isinstance(fused, dict) and fused.get("fused_write_linkage") is not True:
-        problems.append(
-            "variants['fused_write_linkage']: entry must have "
-            "fused_write_linkage=true"
-        )
-    unfused = variants.get("unfused_write_linkage")
-    if isinstance(unfused, dict) and unfused.get("fused_write_linkage") is not False:
-        problems.append(
-            "variants['unfused_write_linkage']: entry must have "
-            "fused_write_linkage=false"
-        )
-    dense = variants.get("masked_dense_occupancy")
-    if isinstance(dense, dict) and dense.get("masked_dense_min_occupancy") != 0.0:
-        problems.append(
-            "variants['masked_dense_occupancy']: entry must have "
-            "masked_dense_min_occupancy=0.0 (dense path forced on)"
-        )
-    gather = variants.get("masked_gather_occupancy")
-    if isinstance(gather, dict) and gather.get("masked_dense_min_occupancy") != 1.0:
-        problems.append(
-            "variants['masked_gather_occupancy']: entry must have "
-            "masked_dense_min_occupancy=1.0 (compact gather path forced)"
-        )
     for name, backend in (
         ("backend_reference", "reference"),
         ("backend_tuned", "tuned"),
@@ -225,20 +184,6 @@ def validate_trajectory(data: object) -> List[str]:
         if isinstance(entry, dict) and entry.get("backend") != backend:
             problems.append(
                 f"variants[{name!r}]: entry must have backend={backend!r}"
-            )
-    for name, fused in (("read_fused", True), ("read_unfused", False)):
-        entry = variants.get(name)
-        if not isinstance(entry, dict):
-            continue
-        if entry.get("read_phase_fused") is not fused:
-            problems.append(
-                f"variants[{name!r}]: entry must have "
-                f"read_phase_fused={'true' if fused else 'false'}"
-            )
-        if entry.get("backend") != "tuned":
-            problems.append(
-                f"variants[{name!r}]: entry must have backend='tuned' "
-                "(only the tuned backend honours the read-phase flag)"
             )
     return problems
 

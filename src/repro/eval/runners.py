@@ -80,15 +80,6 @@ class BatchedThroughput:
     memory_size: int = 0
     two_stage_sort: bool = False
     skim_fraction: float = 0.0
-    fused_write_linkage: bool = True
-    #: The engine's partial-occupancy masked-step threshold (0.0 forces
-    #: the dense-capacity in-place path, 1.0 forces the compact gather
-    #: path) — what the masked-occupancy A/B variants toggle.
-    masked_dense_min_occupancy: float = 0.75
-    #: Whether the backend was allowed to fuse the read phase's
-    #: forward/backward linkage sweeps into one blocked pass — what the
-    #: ``read_fused``/``read_unfused`` A/B variants toggle.
-    read_phase_fused: bool = True
     #: Kernel backend the measurement ran under (see
     #: :mod:`repro.core.backend`) — what the backend A/B variants toggle.
     backend: str = "reference"
@@ -175,9 +166,6 @@ def measure_batched_throughput(
         memory_size=config.memory_size,
         two_stage_sort=config.two_stage_sort,
         skim_fraction=config.skim_fraction,
-        fused_write_linkage=config.fused_write_linkage,
-        masked_dense_min_occupancy=config.masked_dense_min_occupancy,
-        read_phase_fused=config.read_phase_fused,
         backend=config.backend,
     )
 
@@ -198,13 +186,13 @@ def measure_backend_ab(
     the variants are one plain entry per name in ``backends``
     (``{name: {"backend": name}}``), which keeps the classic
     backend-vs-backend A/B; pass ``variants`` explicitly to race other
-    feature axes on the same workload — e.g. the tuned backend with and
-    without the fused read-phase kernel::
+    feature axes on the same workload — e.g. both backends with and
+    without the two-stage sorter::
 
         measure_backend_ab(variants={
             "reference": {"backend": "reference"},
-            "read_unfused": {"backend": "tuned", "read_phase_fused": False},
-            "read_fused": {"backend": "tuned"},
+            "tuned": {"backend": "tuned"},
+            "tuned_sorted": {"backend": "tuned", "two_stage_sort": True},
         })
 
     One engine per variant, all fed the identical ``(T, B, input)``
@@ -305,107 +293,9 @@ def measure_backend_ab(
             memory_size=cfg.memory_size,
             two_stage_sort=cfg.two_stage_sort,
             skim_fraction=cfg.skim_fraction,
-            fused_write_linkage=cfg.fused_write_linkage,
-            masked_dense_min_occupancy=cfg.masked_dense_min_occupancy,
-            read_phase_fused=cfg.read_phase_fused,
             backend=cfg.backend,
         )
     return results
-
-
-def measure_masked_occupancy(
-    config=None,
-    capacity: int = 16,
-    active: int = 8,
-    seq_len: int = 8,
-    repeats: int = 3,
-    rng: int = 0,
-) -> BatchedThroughput:
-    """Time arena-style masked stepping at partial occupancy.
-
-    ``active`` of ``capacity`` resident slots advance each tick through
-    :meth:`TiledEngine.step(active=...)` — the serving layer's
-    steady-state shape whenever the arena is not full.  The config's
-    ``masked_dense_min_occupancy`` decides the path under test (0.0
-    forces the dense-capacity in-place write phase, 1.0 forces the
-    compact gather/scatter), which is exactly the A/B the occupancy
-    variants of ``BENCH_batched_throughput.json`` record.
-
-    ``steps_per_sec`` counts *active-slot* steps per wall second; the
-    sequential baseline runs the same ``active`` sessions one at a time
-    through the unbatched engine, and ``batch1_max_abs_diff`` compares
-    slot 0's masked trajectory against its solo run.
-    """
-    from repro.core.config import HiMAConfig
-    from repro.core.engine import TiledEngine
-
-    if config is None:
-        config = HiMAConfig(
-            memory_size=256, word_size=32, num_reads=1, num_tiles=8,
-            hidden_size=64, two_stage_sort=False,
-        )
-    if not 0 < active < capacity:
-        raise ValueError(
-            f"active must be in (0, capacity), got {active} of {capacity}"
-        )
-    engine = TiledEngine(config, rng=rng)
-    gen = np.random.default_rng(rng)
-    inputs = gen.standard_normal(
-        (seq_len, capacity, engine.reference.config.input_size)
-    ).astype(config.np_dtype)
-    idx = np.arange(active)
-
-    def serve_masked():
-        state = engine.initial_state(batch_size=capacity)
-        outputs = np.empty(
-            (seq_len, capacity, engine.reference.config.output_size),
-            dtype=config.np_dtype,
-        )
-        for t in range(seq_len):
-            outputs[t], state = engine.step(inputs[t], state, active=idx)
-        return outputs
-
-    # Warm up both paths, then time (best of repeats), clearing the
-    # cumulative traffic log at every phase boundary.
-    masked_out = serve_masked()
-    engine.run(inputs[:2, 0])
-    engine.traffic.clear()
-
-    masked_time = float("inf")
-    sequential_time = float("inf")
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        serve_masked()
-        masked_time = min(masked_time, time.perf_counter() - start)
-        engine.traffic.clear()
-
-        start = time.perf_counter()
-        for i in range(active):
-            engine.run(inputs[:, i])
-        sequential_time = min(sequential_time, time.perf_counter() - start)
-        engine.traffic.clear()
-
-    solo = engine.run(inputs[:, 0])
-    diff = float(np.max(np.abs(masked_out[:, 0] - solo)))
-    engine.traffic.clear()
-
-    total_steps = seq_len * active
-    return BatchedThroughput(
-        batch_size=capacity,
-        seq_len=seq_len,
-        steps_per_sec=total_steps / masked_time,
-        sequential_steps_per_sec=total_steps / sequential_time,
-        speedup_vs_seq=sequential_time / masked_time,
-        batch1_max_abs_diff=diff,
-        dtype=config.dtype,
-        memory_size=config.memory_size,
-        two_stage_sort=config.two_stage_sort,
-        skim_fraction=config.skim_fraction,
-        fused_write_linkage=config.fused_write_linkage,
-        masked_dense_min_occupancy=config.masked_dense_min_occupancy,
-        read_phase_fused=config.read_phase_fused,
-        backend=config.backend,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +516,6 @@ __all__ = [
     "BatchedThroughput",
     "measure_batched_throughput",
     "measure_backend_ab",
-    "measure_masked_occupancy",
     "SparseAccessResult",
     "measure_sparse_access",
 ]

@@ -218,8 +218,8 @@ class TestRun:
         # Corrupt the sharded path and confirm verification catches it.
         original = engine._usage_sort
 
-        def corrupted(usage, log):
-            order = original(usage, log)
+        def corrupted(usage, log, mode):
+            order = original(usage, log, mode)
             return order[::-1].copy()
 
         monkeypatch.setattr(engine, "_usage_sort", corrupted)

@@ -150,28 +150,33 @@ class TestWorkspace:
 class TestEngineIntegration:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("distributed", [False, True], ids=["dnc", "dncd"])
-    def test_engine_fused_vs_three_pass_bitwise(self, dtype, distributed, rng):
-        base = dict(
+    def test_engine_fused_vs_three_pass_bitwise(
+        self, dtype, distributed, rng, assert_three_pass_write
+    ):
+        """Every engine step's fused write phase is bitwise numpy_ref's
+        three-pass kernels, unbatched and batched, and the
+        workspace-backed ``run_batch`` reproduces the plain steps."""
+        engine = TiledEngine(HiMAConfig(
             memory_size=32, word_size=16, num_reads=2, num_tiles=4,
             hidden_size=32, two_stage_sort=False,
             distributed=distributed, dtype=dtype,
-        )
-        fused_engine = TiledEngine(HiMAConfig(**base), rng=0)
-        legacy_engine = TiledEngine(
-            HiMAConfig(**base, fused_write_linkage=False), rng=0
-        )
-        xs = rng.standard_normal((5, 16)).astype(dtype)
-        assert np.array_equal(fused_engine.run(xs), legacy_engine.run(xs))
-        xb = rng.standard_normal((3, 4, 16)).astype(dtype)
-        assert np.array_equal(
-            fused_engine.run_batch(xb), legacy_engine.run_batch(xb)
-        )
+        ), rng=0)
+        for lead in ((), (4,)):
+            xs = rng.standard_normal((3,) + lead + (16,)).astype(dtype)
+            state = engine.initial_state(batch_size=lead[0] if lead else None)
+            ys = []
+            for x in xs:
+                y, new = engine.step(x, state)
+                assert_three_pass_write(engine, x, state, new)
+                ys.append(y)
+                state = new
+            if lead:
+                assert np.array_equal(engine.run_batch(xs), np.stack(ys))
 
     def test_engine_fused_passes_reference_verification(self):
         engine = TiledEngine(HiMAConfig(
             memory_size=32, word_size=16, num_reads=2, num_tiles=4,
             hidden_size=32, two_stage_sort=False,
         ), rng=0)
-        assert engine.config.fused_write_linkage  # the default
         assert engine.verify_against_reference(steps=3) <= 1e-9
         assert engine.verify_against_reference(steps=3, batch_size=3) <= 1e-10

@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 from repro.core.config import HiMAConfig
-from repro.core.engine import TiledEngine, gather_states, scatter_states
+from repro.core.engine import (
+    MASKED_DENSE_MIN_OCCUPANCY,
+    TiledEngine,
+    gather_states,
+    scatter_states,
+)
 from repro.dnc.numpy_ref import NumpyDNCState
 from repro.errors import ConfigError
 
@@ -122,70 +127,82 @@ def test_permuted_full_dispatch_is_dense_and_matches_gather_scatter(dtype, rng):
             ), (name, i)
 
 
+def gather_step_scatter(engine, x, state, idx):
+    """The compact path by hand: gather rows, plain step, scatter back."""
+    sub = state.take_rows(idx)
+    y_sub, new_sub = engine.step(x[idx], sub)
+    state.write_rows(idx, new_sub)
+    y = np.zeros((state.batch_size, y_sub.shape[-1]), dtype=y_sub.dtype)
+    y[idx] = y_sub
+    return y
+
+
 class TestDensePartialOccupancyPath:
-    """Partial occupancy above ``masked_dense_min_occupancy``: the step
-    runs over the whole resident batch with the O(N^2) write phase
+    """Partial occupancy at or above ``MASKED_DENSE_MIN_OCCUPANCY``: the
+    step runs over the whole resident batch with the O(N^2) write phase
     skipping inactive slots in place.  The path must be numerically
     interchangeable with the compact gather path, keep inactive slots
-    bitwise untouched, and slash the per-tick state movement."""
+    bitwise untouched, and slash the per-tick state movement.  Each
+    test picks active counts on either side of the threshold (with
+    ``B = 4``: 3 slots take the dense-capacity path, 1-2 the compact
+    one, 4 the zero-copy full path)."""
 
     @pytest.mark.parametrize(
         "dtype,tol", [("float64", 1e-10), ("float32", 1e-4)]
     )
-    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "unfused"])
-    def test_dense_partial_matches_compact_path(self, dtype, tol, fused, rng):
-        dense = make_engine(
-            dtype=dtype, fused_write_linkage=fused,
-            masked_dense_min_occupancy=0.0,
-        )
-        compact = make_engine(
-            dtype=dtype, fused_write_linkage=fused,
-            masked_dense_min_occupancy=1.0,
-        )
-        b = 6
-        arena_dense = warmed_state(dense, rng, b)
-        arena_compact = copy_state(arena_dense)
+    def test_dense_partial_matches_compact_path(
+        self, dtype, tol, rng, masked_path
+    ):
+        engine = make_engine(dtype=dtype)
+        b = 4
+        arena = warmed_state(engine, rng, b)
+        expected = copy_state(arena)
         worst = 0.0
-        for t in range(6):
+        paths = set()
+        for t in range(8):
             x = rng.standard_normal((b, 16)).astype(dtype)
-            idx = np.asarray(rng.permutation(b)[: 1 + t % 5])
-            yd, _ = dense.step(x, arena_dense, active=idx)
-            yc, _ = compact.step(x, arena_compact, active=idx)
-            worst = max(worst, float(np.max(np.abs(yd - yc))))
+            idx = np.asarray(rng.permutation(b)[: 1 + t % 4])
+            y, _ = engine.step(x, arena, active=idx)
+            paths.add(masked_path(engine, arena, idx.size))
+            y_ref = gather_step_scatter(engine, x, expected, idx)
+            worst = max(worst, float(np.max(np.abs(y - y_ref))))
             for name in NumpyDNCState.FIELDS:
                 worst = max(worst, float(np.max(np.abs(
-                    getattr(arena_dense, name) - getattr(arena_compact, name)
+                    getattr(arena, name) - getattr(expected, name)
                 ))))
+        assert paths == {"compact", "dense", "full"}
         # Interchangeable paths.  float64 holds the serving bar; float32
         # is bounded by the engine's documented batched-vs-unbatched
         # story — full-capacity vs dispatch-sized gemms (m=1 especially)
         # can hit different BLAS kernels that round differently.
         assert worst <= tol
 
-    def test_inactive_slots_bitwise_untouched_and_y_zero(self, rng):
-        engine = make_engine(masked_dense_min_occupancy=0.0)
-        b = 5
+    def test_inactive_slots_bitwise_untouched_and_y_zero(
+        self, rng, masked_path
+    ):
+        engine = make_engine()
+        b = 4
         arena = warmed_state(engine, rng, b)
         snapshot = copy_state(arena)
-        idx = np.array([4, 1, 2])
+        idx = np.array([3, 1, 2])
         y, out = engine.step(rng.standard_normal((b, 16)), arena, active=idx)
         assert out is arena
-        for i in (0, 3):
-            for name in NumpyDNCState.FIELDS:
-                assert np.array_equal(
-                    getattr(arena, name)[i], getattr(snapshot, name)[i]
-                ), (name, i)
-            assert np.all(y[i] == 0.0)
+        assert masked_path(engine, arena, idx.size) == "dense"
+        for name in NumpyDNCState.FIELDS:
+            assert np.array_equal(
+                getattr(arena, name)[0], getattr(snapshot, name)[0]
+            ), name
+        assert np.all(y[0] == 0.0)
 
     def test_dense_partial_copies_only_small_fields(self, rng):
         """With the fused in-place write phase the N^2 fields never
         move: the copy counter records one write per active row of the
         remaining fields — under half the compact path's two full-row
         copies."""
-        engine = make_engine(masked_dense_min_occupancy=0.0)
-        b = 5
+        engine = make_engine()
+        b = 4
         arena = warmed_state(engine, rng, b)
-        idx = np.array([2, 0])
+        idx = np.array([2, 0, 3])
         engine.step(rng.standard_normal((b, 16)), arena, active=idx)
         big3 = (
             arena.memory[0].nbytes
@@ -197,43 +214,84 @@ class TestDensePartialOccupancyPath:
         )
         assert engine.last_state_bytes_copied < 2 * idx.size * arena.row_nbytes
 
-    def test_threshold_selects_the_path(self, rng):
-        """The occupancy fraction against ``masked_dense_min_occupancy``
+    def test_threshold_selects_the_path(self, rng, masked_path):
+        """The occupancy fraction against ``MASKED_DENSE_MIN_OCCUPANCY``
         decides gather vs dense — visible through the copy counter."""
-        b, k = 6, 3  # occupancy 0.5
-        idx = np.array([4, 0, 2])
-        below = make_engine(masked_dense_min_occupancy=0.75)
-        arena = warmed_state(below, rng, b)
-        below.step(rng.standard_normal((b, 16)), arena, active=idx)
-        assert below.last_state_bytes_copied == 2 * k * arena.row_nbytes
-        above = make_engine(masked_dense_min_occupancy=0.5)
-        arena = warmed_state(above, rng, b)
-        above.step(rng.standard_normal((b, 16)), arena, active=idx)
-        assert above.last_state_bytes_copied < 2 * k * arena.row_nbytes
+        b = 8
+        k_dense = int(np.ceil(MASKED_DENSE_MIN_OCCUPANCY * b))
+        engine = make_engine()
+        arena = warmed_state(engine, rng, b)
+        for k, path in ((k_dense - 1, "compact"), (k_dense, "dense"),
+                        (b, "full")):
+            idx = rng.permutation(b)[:k]
+            engine.step(rng.standard_normal((b, 16)), arena, active=idx)
+            assert masked_path(engine, arena, k) == path, k
 
     def test_distributed_engine_keeps_compact_path(self, rng):
         """DNC-D's stacked kernels view-shard the state arrays, so the
         dense in-place write phase never applies to it."""
-        engine = make_engine(distributed=True, masked_dense_min_occupancy=0.0)
+        engine = make_engine(distributed=True)
         b = 4
         arena = warmed_state(engine, rng, b)
         idx = np.array([1, 3, 0])
         engine.step(rng.standard_normal((b, 16)), arena, active=idx)
         assert engine.last_state_bytes_copied == 2 * idx.size * arena.row_nbytes
 
-    def test_dense_partial_traffic_scales_by_active_count(self, rng):
+    def test_dense_partial_traffic_scales_by_active_count(
+        self, rng, masked_path
+    ):
         solo = make_engine()
         solo.traffic.clear()
         solo.step(rng.standard_normal(16), solo.initial_state())
         solo_words = solo.traffic.total_words()
 
-        engine = make_engine(masked_dense_min_occupancy=0.0)
-        arena = engine.initial_state(batch_size=5)
+        engine = make_engine()
+        arena = engine.initial_state(batch_size=4)
         engine.traffic.clear()
         engine.step(
-            rng.standard_normal((5, 16)), arena, active=np.array([0, 2, 4])
+            rng.standard_normal((4, 16)), arena, active=np.array([0, 2, 3])
         )
+        assert masked_path(engine, arena, 3) == "dense"
         assert engine.traffic.total_words() == 3 * solo_words
+
+
+@pytest.mark.parametrize("memory_size", [32, 128], ids=["n32", "n128"])
+@pytest.mark.parametrize("distributed", [False, True], ids=["dnc", "dncd"])
+def test_step_does_not_depend_on_previous_call(distributed, memory_size, rng):
+    """One engine interleaves compact, dense-capacity, full-occupancy and
+    plain steps on separate states; every call's outputs are bitwise
+    what a fresh engine gives for that call alone, so no step reads
+    anything an earlier call left behind."""
+    def fresh():
+        return make_engine(distributed=distributed, memory_size=memory_size)
+
+    shared = fresh()
+    b = 4
+    states = {
+        kind: warmed_state(fresh(), rng, b)
+        for kind in ("compact", "dense", "full", "batched")
+    }
+    states["solo"] = fresh().initial_state()
+    calls = (
+        ("compact", np.array([2, 0])),
+        ("batched", None),
+        ("dense", np.array([3, 1, 0])),
+        ("solo", None),
+        ("full", np.array([1, 0, 3, 2])),
+        ("compact", np.array([1])),
+        ("full", np.arange(b)),
+        ("dense", np.array([0, 2, 3])),
+    )
+    for _ in range(2):
+        for kind, idx in calls:
+            state = states[kind]
+            lead = () if kind == "solo" else (b,)
+            x = rng.standard_normal(lead + (16,))
+            y_ref, ref = fresh().step(x, copy_state(state), active=idx)
+            y, out = shared.step(x, state, active=idx)
+            assert np.array_equal(y, y_ref), kind
+            assert fields_equal(out, ref), kind
+            states[kind] = out
 
 
 def test_partial_mask_reports_copy_bytes(rng):

@@ -212,15 +212,17 @@ def test_churn_arena_matches_gather_scatter_and_solo(dtype):
 
 
 @pytest.mark.parametrize("dtype,tol", [("float64", 1e-10), ("float32", 1e-4)])
-def test_churn_dense_partial_step_matches_gather_scatter(dtype, tol):
-    """The same churn property with the dense-capacity masked step forced
-    on (``masked_dense_min_occupancy=0.0``): every partially-occupied
-    arena tick runs the in-place write phase over the full resident
-    batch.  float64 keeps the 1e-10 bar; float32 gets the engine's
-    documented batched-vs-unbatched story — the dense path's
-    full-capacity gemms and the fallback's dispatch-sized gemms can hit
-    different BLAS kernels (m=1 especially), which rounds differently at
-    float32 but stays well inside the dtype's verify tolerance."""
+def test_churn_dense_partial_step_matches_gather_scatter(dtype, tol, masked_path):
+    """The same churn property on an arena of four slots
+    (``session_capacity=max_batch=4``), so arena ticks take all three
+    masked paths by occupancy: the compact gather (1-2 active), the
+    dense-capacity in-place write phase (3 active) and the zero-copy
+    full step (4 active).  float64 keeps the 1e-10 bar; float32 gets
+    the engine's documented batched-vs-unbatched story — the dense
+    path's full-capacity gemms and the fallback's dispatch-sized gemms
+    can hit different BLAS kernels (m=1 especially), which rounds
+    differently at float32 but stays well inside the dtype's verify
+    tolerance."""
     rng = np.random.default_rng(1234)
     schedule = make_schedule(rng, ticks=80)
     input_cache = {}
@@ -232,14 +234,26 @@ def test_churn_dense_partial_step_matches_gather_scatter(dtype, tol):
         return input_cache[sid]
 
     outputs = {}
+    paths = set()
     for state_arena in (True, False):
-        engine = make_engine(dtype=dtype, masked_dense_min_occupancy=0.0)
+        engine = make_engine(dtype=dtype)
         server = SessionServer(
             engine, max_batch=4, max_wait_ticks=1,
-            session_capacity=6, session_ttl_ticks=25,
+            session_capacity=4, session_ttl_ticks=25,
             state_arena=state_arena,
         )
+        if state_arena:
+            step = engine.step
+
+            def recording_step(x, state, active=None, step=step, engine=engine):
+                out = step(x, state, active=active)
+                if active is not None:
+                    paths.add(masked_path(engine, state, len(active)))
+                return out
+
+            engine.step = recording_step
         outputs[state_arena] = run_churn(server, schedule, inputs_of)
+    assert paths == {"compact", "dense", "full"}
 
     arena_out, gs_out = outputs[True], outputs[False]
     assert set(arena_out) == set(gs_out)

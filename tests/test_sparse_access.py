@@ -440,11 +440,8 @@ class TestSparseServing:
 
 
 class TestDistributedWorkspaceDealias:
-    def make(self, fused=True):
-        return TiledEngine(
-            dense_config(distributed=True, fused_write_linkage=fused),
-            rng=SEED,
-        )
+    def make(self):
+        return TiledEngine(dense_config(distributed=True), rng=SEED)
 
     def test_masked_full_occupancy_matches_plain_batched_bitwise(self, rng):
         """The workspace-backed DNC-D masked path (staged shard inputs,
@@ -464,23 +461,22 @@ class TestDistributedWorkspaceDealias:
         for name in NumpyDNCState.FIELDS:
             assert np.array_equal(getattr(ms, name), getattr(ps, name)), name
 
-    def test_masked_fused_matches_unfused_bitwise(self, rng):
+    def test_masked_fused_matches_unfused_bitwise(
+        self, rng, assert_three_pass_write
+    ):
         """Fused kernels are bitwise the three-pass path (repo-wide
         precedent); that must survive the DNC-D workspace routing."""
-        fused, unfused = self.make(fused=True), self.make(fused=False)
+        engine = self.make()
         batch = 3
         xs = rng.standard_normal(
-            (5, batch, fused.reference.config.input_size)
+            (5, batch, engine.reference.config.input_size)
         )
         idx = np.arange(batch)
-        fs = fused.initial_state(batch_size=batch)
-        us = unfused.initial_state(batch_size=batch)
+        state = engine.initial_state(batch_size=batch)
         for t in range(xs.shape[0]):
-            yf, fs = fused.step(xs[t], fs, active=idx)
-            yu, us = unfused.step(xs[t], us, active=idx)
-            assert np.array_equal(yf, yu), t
-        for name in NumpyDNCState.FIELDS:
-            assert np.array_equal(getattr(fs, name), getattr(us, name)), name
+            old = state.copy()
+            _, state = engine.step(xs[t], state, active=idx)
+            assert_three_pass_write(engine, xs[t], old, state)
 
     def test_repeated_masked_steps_do_not_alias_workspace(self, rng):
         """Back-to-back masked DNC-D steps reuse the staging buffers;
@@ -496,10 +492,7 @@ class TestDistributedWorkspaceDealias:
         for t in range(xs.shape[0]):
             y, state = engine.step(xs[t], state, active=idx)
             outs.append(y.copy())
-        replay = TiledEngine(
-            dense_config(distributed=True, fused_write_linkage=True),
-            rng=SEED,
-        )
+        replay = self.make()
         rs = replay.initial_state(batch_size=batch)
         for t in range(xs.shape[0]):
             y, rs = replay.step(xs[t], rs, active=idx)
